@@ -293,6 +293,70 @@ func BenchmarkSourceTrack(b *testing.B) {
 			})
 		}
 	}
+	// The daemon's path: /24 keys, the tap fed in ingest-sized chunks,
+	// two shards, under spoof churn — every SYN a fresh /24, so each one
+	// is a Space-Saving eviction. One op is one record.
+	b.Run("batch/shards=2/churn", func(b *testing.B) {
+		tk, err := sourcetrack.New(sourcetrack.Config{Shards: 2})
+		if err != nil {
+			b.Fatal(err)
+		}
+		recs := churnRecords(1 << 20)
+		tk.ObserveBatch(recs)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i += ingest.DefaultChunk {
+			off := i % len(recs)
+			tk.ObserveBatch(recs[off : off+min(ingest.DefaultChunk, b.N-i)])
+		}
+		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "records/s")
+	})
+}
+
+// churnRecords returns n outgoing SYNs, each from a fresh /24.
+func churnRecords(n int) []trace.Record {
+	dst := netip.MustParseAddr("11.99.99.1")
+	recs := make([]trace.Record, n)
+	for i := range recs {
+		recs[i] = trace.Record{
+			Kind: packet.KindSYN,
+			Dir:  trace.DirOut,
+			Src:  netip.AddrFrom4([4]byte{byte(10 + i>>16), byte(i >> 8), byte(i), 1}),
+			Dst:  dst,
+		}
+	}
+	return recs
+}
+
+// BenchmarkTrackerView measures ranking a full default tracker (1024
+// keys at /24): limit=8 is the per-period summary digest's top-K
+// selection, limit=0 the full sorted view.
+func BenchmarkTrackerView(b *testing.B) {
+	tk, err := sourcetrack.New(sourcetrack.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	recs := churnRecords(sourcetrack.DefaultMaxSources)
+	for p := 0; p < 4; p++ {
+		// Uneven per-key pressure, so counts and statistics spread.
+		for i, r := range recs {
+			for j := 0; j <= (i*7+p)%13; j++ {
+				tk.Observe(r)
+			}
+		}
+		tk.ClosePeriod(p, time.Duration(p+1)*core.DefaultObservationPeriod)
+	}
+	if st := tk.Stats(); st.Tracked != sourcetrack.DefaultMaxSources {
+		b.Fatalf("tracker not full: %+v", st)
+	}
+	for _, limit := range []int{8, 0} {
+		b.Run(fmt.Sprintf("limit=%d", limit), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tk.View(limit)
+			}
+		})
+	}
 }
 
 // --- multi-vantage fusion ----------------------------------------------

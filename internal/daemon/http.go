@@ -3,6 +3,7 @@ package daemon
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -169,27 +170,35 @@ func (d *Daemon) Sources(n, offset int) SourcesPayload {
 	if tr == nil {
 		return SourcesPayload{}
 	}
-	cfg := tr.Config()
-	v := tr.View(0)
 	if offset < 0 {
 		offset = 0
 	}
+	// Rank only as far as the page reaches: a small page is selected,
+	// not sorted out of the whole population. n == 0 wants no rows, and
+	// the smallest view still carries the stats.
+	limit := 0
+	switch {
+	case n == 0:
+		limit = 1
+	case n > 0:
+		limit = offset + n
+		if limit < offset {
+			limit = math.MaxInt
+		}
+	}
+	cfg := tr.Config()
+	v := tr.View(limit)
 	p := SourcesPayload{
 		Enabled:    true,
 		KeyBits:    cfg.KeyBits,
 		MaxSources: cfg.MaxSources,
 		Periods:    v.Periods,
-		Total:      len(v.Sources),
+		Total:      v.Stats.Tracked,
 		Offset:     offset,
 		Stats:      v.Stats,
 	}
-	if offset > len(v.Sources) {
-		offset = len(v.Sources)
-	}
-	page := v.Sources[offset:]
-	if n == 0 {
-		page = page[:0]
-	} else if n > 0 && len(page) > n {
+	page := v.Sources[min(offset, len(v.Sources)):]
+	if n >= 0 && len(page) > n {
 		page = page[:n]
 	}
 	p.Sources = page

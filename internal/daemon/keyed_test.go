@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -396,5 +397,34 @@ func TestSourcesPagination(t *testing.T) {
 	}
 	if status, body := get(t, d, "/sources?n=2&offset=1"); status != 200 || strings.Count(body, `"key"`) != 2 {
 		t.Errorf("?n=2&offset=1: status %d body %s", status, body)
+	}
+}
+
+// TestSourcesHugePage pins that a page size near MaxInt, whose end
+// offset+n overflows, still pages like any other size.
+func TestSourcesHugePage(t *testing.T) {
+	agent, tracker, _, err := LoadOrNewState("", core.Config{}, keyedTrackConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := New(agent, testTrace(t, true), Options{Tracker: tracker})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Replay(context.Background(), 0); err != nil {
+		t.Fatal(err)
+	}
+	all := d.Sources(-1, 0)
+	p := d.Sources(math.MaxInt, 1)
+	if p.Total != all.Total || len(p.Sources) != all.Total-1 {
+		t.Fatalf("huge page: total %d, %d rows; want %d, %d", p.Total, len(p.Sources), all.Total, all.Total-1)
+	}
+	for i, row := range p.Sources {
+		if row != all.Sources[i+1] {
+			t.Fatalf("row %d: %v, full list %v", i, row.Key, all.Sources[i+1].Key)
+		}
+	}
+	if p := d.Sources(math.MaxInt, math.MaxInt); len(p.Sources) != 0 || p.Total != all.Total {
+		t.Fatalf("huge page past the end: %d rows, total %d", len(p.Sources), p.Total)
 	}
 }

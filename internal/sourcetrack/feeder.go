@@ -1,7 +1,6 @@
 package sourcetrack
 
 import (
-	"net/netip"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -27,7 +26,7 @@ import (
 // feedOp is one pre-keyed observation: a SYN for key (synAck=false)
 // or a SYN/ACK toward key (synAck=true).
 type feedOp struct {
-	key    netip.Prefix
+	key    addrKey
 	synAck bool
 }
 

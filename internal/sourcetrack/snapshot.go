@@ -157,8 +157,9 @@ func Restore(s Snapshot, cfg Config) (*Tracker, error) {
 		if err := dt.Restore(ks.Y, ks.AlarmLatched, ks.Observations, ks.OnsetIndex); err != nil {
 			return nil, fmt.Errorf("%w: key %v detector: %v", ErrBadSnapshot, ks.Key, err)
 		}
+		id, _ := t.compactKey(ks.Key.Addr()) // valid: keyOf accepted it above
 		st := &keyState{
-			key: ks.Key, count: ks.Count, errc: ks.Err,
+			id: id, key: ks.Key, count: ks.Count, errc: ks.Err,
 			kBar: kb, det: dt,
 			periods: ks.Periods, last: ks.Last,
 		}
@@ -166,8 +167,8 @@ func Restore(s Snapshot, cfg Config) (*Tracker, error) {
 			al := *ks.Alarm
 			st.alarm = &al
 		}
-		sh := t.shardFor(ks.Key)
-		if _, dup := sh.states[ks.Key]; dup {
+		sh := t.shardFor(id)
+		if sh.index.get(id) != nil {
 			return nil, fmt.Errorf("%w: duplicate key %v (entry %d)", ErrBadSnapshot, ks.Key, i)
 		}
 		sh.insert(st)

@@ -28,6 +28,7 @@
 package sourcetrack
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net/netip"
@@ -137,8 +138,9 @@ type SourceReport struct {
 // admission counters. It deliberately carries no report history — per
 // key memory is O(1), so total memory is O(MaxSources).
 type keyState struct {
-	key netip.Prefix
-	idx int // position in the shard's admission min-heap
+	id  addrKey      // index key
+	key netip.Prefix // id as a prefix, for reports and snapshots
+	idx int          // position in the shard's admission min-heap
 
 	count uint64 // Space-Saving estimated SYN count
 	errc  uint64 // overestimation bound inherited at admission
@@ -185,17 +187,19 @@ func (st *keyState) endPeriod(end time.Duration, cfg *core.Config) (core.Report,
 	return r, newAlarm
 }
 
-// reset recycles the state for a (possibly new) key. inherited is the
-// Space-Saving count the key starts from (the evicted minimum; 0 when
-// admitted below capacity). done is the tracker's completed-period
+// reset recycles the state for a (possibly new) key id, spelled as a
+// /keyBits prefix in reports. inherited is the Space-Saving count the
+// key starts from (the evicted minimum; 0 when admitted below
+// capacity). done is the tracker's completed-period
 // clock: a key first seen now is indistinguishable from one that sat
 // at zero counts since the stream began, and `done` zero-count
 // periods prime K̄ to 0 (the first EWMA sample initializes directly)
 // and leave the CUSUM statistic at 0 having consumed every
 // post-warm-up period — so a late-admitted key is bit-identical to a
 // core.Agent that replayed the key's records from the trace start.
-func (st *keyState) reset(key netip.Prefix, inherited uint64, done, warmup int) {
-	st.key = key
+func (st *keyState) reset(id addrKey, keyBits int, inherited uint64, done, warmup int) {
+	st.id = id
+	st.key = id.prefix(keyBits)
 	st.count = inherited
 	st.errc = inherited
 	st.outSYN, st.inSYNACK = 0, 0
@@ -233,19 +237,16 @@ func keyLess(a, b *keyState) bool {
 	if a.count != b.count {
 		return a.count < b.count
 	}
-	if c := a.key.Addr().Compare(b.key.Addr()); c != 0 {
-		return c < 0
-	}
-	return a.key.Bits() < b.key.Bits()
+	return a.id.less(b.id)
 }
 
-// shard is one lock stripe: a key→state map plus the Space-Saving
+// shard is one lock stripe: a key→state index plus the Space-Saving
 // min-heap over the same states.
 type shard struct {
-	mu     sync.Mutex
-	cap    int
-	states map[netip.Prefix]*keyState
-	heap   []*keyState
+	mu    sync.Mutex
+	cap   int
+	index keyIndex
+	heap  []*keyState
 
 	syns, synAcks, untracked, evicted uint64
 	alarmed                           int
@@ -291,25 +292,25 @@ func (s *shard) siftDown(i int) {
 func (s *shard) insert(st *keyState) {
 	st.idx = len(s.heap)
 	s.heap = append(s.heap, st)
-	s.states[st.key] = st
+	s.index.put(st.id, st)
 	s.siftUp(st.idx)
 }
 
 // admit returns the state for a new key, allocating below capacity
 // and recycling the minimum-count state (Space-Saving) at capacity.
 // Callers hold s.mu.
-func (s *shard) admit(key netip.Prefix, done int, cfg *Config) *keyState {
+func (s *shard) admit(id addrKey, done int, cfg *Config) *keyState {
 	if len(s.heap) < s.cap {
 		// Parameters were validated at Tracker construction.
 		kb, _ := cusum.NewEWMA(cfg.Agent.Alpha)
 		dt, _ := cusum.New(cfg.Agent.Offset, cfg.Agent.Threshold)
 		st := &keyState{kBar: kb, det: dt}
-		st.reset(key, 0, done, cfg.Agent.WarmupPeriods)
+		st.reset(id, cfg.KeyBits, 0, done, cfg.Agent.WarmupPeriods)
 		s.insert(st)
 		return st
 	}
 	st := s.heap[0] // minimum count
-	delete(s.states, st.key)
+	s.index.del(st.id)
 	if st.alarm != nil {
 		s.alarmed--
 	}
@@ -317,43 +318,34 @@ func (s *shard) admit(key netip.Prefix, done int, cfg *Config) *keyState {
 	// The new key inherits the evicted minimum as count and error
 	// bound; count is unchanged so the heap property holds at the
 	// root until the caller's increment sifts it down.
-	st.reset(key, st.count, done, cfg.Agent.WarmupPeriods)
-	s.states[key] = st
+	st.reset(id, cfg.KeyBits, st.count, done, cfg.Agent.WarmupPeriods)
+	s.index.put(id, st)
 	return st
 }
 
-func (s *shard) observeSYN(key netip.Prefix, done int, cfg *Config) {
-	s.mu.Lock()
-	s.observeSYNLocked(key, done, cfg)
-	s.mu.Unlock()
-}
-
-// observeSYNLocked is observeSYN under an already-held shard lock —
-// the batch paths take the lock once per chunk instead of per record.
-func (s *shard) observeSYNLocked(key netip.Prefix, done int, cfg *Config) {
+// applyLocked folds one pre-keyed op into the shard. Callers hold the
+// shard lock; done is the tracker's completed-period clock, stable for
+// a whole batch because period closes are excluded while one is in
+// flight. A SYN admits its key; a SYN/ACK only counts toward a key
+// already tracked.
+func (s *shard) applyLocked(op feedOp, done int, cfg *Config) {
+	st := s.index.get(op.key)
+	if op.synAck {
+		if st != nil {
+			s.synAcks++
+			st.inSYNACK++
+		} else {
+			s.untracked++
+		}
+		return
+	}
 	s.syns++
-	st := s.states[key]
 	if st == nil {
-		st = s.admit(key, done, cfg)
+		st = s.admit(op.key, done, cfg)
 	}
 	st.count++
 	st.outSYN++
 	s.siftDown(st.idx)
-}
-
-func (s *shard) observeSYNACK(key netip.Prefix) {
-	s.mu.Lock()
-	s.observeSYNACKLocked(key)
-	s.mu.Unlock()
-}
-
-func (s *shard) observeSYNACKLocked(key netip.Prefix) {
-	if st := s.states[key]; st != nil {
-		s.synAcks++
-		st.inSYNACK++
-	} else {
-		s.untracked++
-	}
 }
 
 func (s *shard) closePeriod(end time.Duration, cfg *core.Config, onReport func(netip.Prefix, core.Report)) {
@@ -377,6 +369,7 @@ func (s *shard) closePeriod(end time.Duration, cfg *core.Config, onReport func(n
 // ingest.Aggregator's single Feed/ClosePeriod caller already has.
 type Tracker struct {
 	cfg     Config
+	loMask  uint64 // keeps the low word's top 32+KeyBits bits (see addrKey)
 	shards  []*shard
 	periods atomic.Int64
 	unkeyed atomic.Uint64
@@ -429,11 +422,15 @@ func New(cfg Config) (*Tracker, error) {
 		return nil, fmt.Errorf("sourcetrack: detector: %w", err)
 	}
 	perShard := (cfg.MaxSources + cfg.Shards - 1) / cfg.Shards
-	t := &Tracker{cfg: cfg, shards: make([]*shard, cfg.Shards)}
+	t := &Tracker{
+		cfg:    cfg,
+		loMask: ^uint64(0) << (32 - cfg.KeyBits),
+		shards: make([]*shard, cfg.Shards),
+	}
 	for i := range t.shards {
 		t.shards[i] = &shard{
-			cap:    perShard,
-			states: make(map[netip.Prefix]*keyState, perShard),
+			cap:   perShard,
+			index: newKeyIndex(perShard),
 		}
 	}
 	return t, nil
@@ -442,7 +439,9 @@ func New(cfg Config) (*Tracker, error) {
 // Config returns the tracker's effective configuration.
 func (t *Tracker) Config() Config { return t.cfg }
 
-// keyOf masks an address to the tracker's key prefix.
+// keyOf masks an address to the tracker's key prefix. It is the
+// reference spelling of a key: compactKey(a).prefix(KeyBits) equals it
+// for every address, which the tests pin.
 func (t *Tracker) keyOf(a netip.Addr) (netip.Prefix, bool) {
 	if !a.IsValid() {
 		return netip.Prefix{}, false
@@ -459,29 +458,110 @@ func (t *Tracker) keyOf(a netip.Addr) (netip.Prefix, bool) {
 	return p, true
 }
 
-// shardIndex routes a key to its lock stripe (inline FNV-1a; no
-// per-record allocation).
-func (t *Tracker) shardIndex(key netip.Prefix) int {
+// addrKey is a key in the form the shard indexes hold it: the address's
+// v4-mapped 16-byte form (As16) masked to 96+KeyBits bits, as two
+// big-endian words. Unlike netip.Prefix it carries no zone pointer, so
+// hashing and comparing it are plain 16-byte memory operations. Both
+// IPv4 and v4-mapped IPv6 addresses land on the ::ffff: form, and a
+// zone never reaches it, exactly as keyOf unmaps and drops zones.
+type addrKey struct{ hi, lo uint64 }
+
+// is4 reports whether the key is an IPv4 (::ffff:-mapped) key.
+func (k addrKey) is4() bool { return k.hi == 0 && k.lo>>32 == 0xffff }
+
+// less orders keys as netip.Addr.Compare orders their prefixes'
+// addresses: IPv4 keys first, then by address. Keys of one family
+// share a bit length, so this is the prefixes' full (address, bits)
+// order.
+func (k addrKey) less(o addrKey) bool {
+	if a, b := k.is4(), o.is4(); a != b {
+		return a
+	}
+	if k.hi != o.hi {
+		return k.hi < o.hi
+	}
+	return k.lo < o.lo
+}
+
+// prefix spells the key as keyOf does: a /keyBits IPv4 prefix for
+// mapped keys, a /(96+keyBits) IPv6 prefix otherwise. Only admission
+// and snapshots need it, never the per-record path.
+func (k addrKey) prefix(keyBits int) netip.Prefix {
+	if k.is4() {
+		var b [4]byte
+		binary.BigEndian.PutUint32(b[:], uint32(k.lo))
+		return netip.PrefixFrom(netip.AddrFrom4(b), keyBits)
+	}
+	var b [16]byte
+	binary.BigEndian.PutUint64(b[:8], k.hi)
+	binary.BigEndian.PutUint64(b[8:], k.lo)
+	return netip.PrefixFrom(netip.AddrFrom16(b), 96+keyBits)
+}
+
+// compactKey masks an address to its key in map form. KeyBits never
+// exceeds 32, so the mask only ever touches the low word.
+func (t *Tracker) compactKey(a netip.Addr) (addrKey, bool) {
+	if !a.IsValid() {
+		return addrKey{}, false
+	}
+	b := a.As16()
+	return addrKey{
+		hi: binary.BigEndian.Uint64(b[:8]),
+		lo: binary.BigEndian.Uint64(b[8:]) & t.loMask,
+	}, true
+}
+
+// FNV-1a parameters of the shard routing hash.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// fnvMapped is the FNV-1a state after the 12 fixed bytes (ten zeros,
+// then 0xff 0xff) that open every IPv4 key's 16-byte form.
+var fnvMapped = func() uint64 {
+	h := uint64(fnvOffset)
+	for _, c := range [12]byte{10: 0xff, 11: 0xff} {
+		h = (h ^ uint64(c)) * fnvPrime
+	}
+	return h
+}()
+
+// shardIndex routes a key to its lock stripe: FNV-1a over the key
+// prefix's 16-byte address form, then its bit length. With several
+// shards, per-shard Space-Saving eviction shapes the keyed output, so
+// this must never change where a key lands. IPv4 keys resume from
+// fnvMapped and hash only their last four bytes.
+func (t *Tracker) shardIndex(k addrKey) int {
 	if len(t.shards) == 1 {
 		return 0
 	}
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	b := key.Addr().As16()
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= prime64
+	var h uint64
+	bits := t.cfg.KeyBits
+	if k.is4() {
+		h = fnvMapped
+		for s := 24; s >= 0; s -= 8 {
+			h = (h ^ (k.lo>>s)&0xff) * fnvPrime
+		}
+	} else {
+		h = fnvOffset
+		for s := 56; s >= 0; s -= 8 {
+			h = (h ^ (k.hi>>s)&0xff) * fnvPrime
+		}
+		for s := 56; s >= 0; s -= 8 {
+			h = (h ^ (k.lo>>s)&0xff) * fnvPrime
+		}
+		bits += 96
 	}
-	h ^= uint64(uint8(key.Bits()))
-	h *= prime64
+	h = (h ^ uint64(uint8(bits))) * fnvPrime
+	if n := uint64(len(t.shards)); n&(n-1) == 0 {
+		return int(h & (n - 1)) // h % n without the division
+	}
 	return int(h % uint64(len(t.shards)))
 }
 
-func (t *Tracker) shardFor(key netip.Prefix) *shard {
-	return t.shards[t.shardIndex(key)]
+func (t *Tracker) shardFor(k addrKey) *shard {
+	return t.shards[t.shardIndex(k)]
 }
 
 // Observe routes one record. Only the pair the paper's detector pairs
@@ -490,22 +570,14 @@ func (t *Tracker) shardFor(key netip.Prefix) *shard {
 // SYN/ACKs never admit a key (only SYN pressure does); a SYN/ACK for
 // an untracked key is tallied in TrackerStats.UntrackedSYNACKs.
 func (t *Tracker) Observe(r trace.Record) {
-	switch {
-	case r.Dir == trace.DirOut && r.Kind == packet.KindSYN:
-		key, ok := t.keyOf(r.Src)
-		if !ok {
-			t.unkeyed.Add(1)
-			return
-		}
-		t.shardFor(key).observeSYN(key, int(t.periods.Load()), &t.cfg)
-	case r.Dir == trace.DirIn && r.Kind == packet.KindSYNACK:
-		key, ok := t.keyOf(r.Dst)
-		if !ok {
-			t.unkeyed.Add(1)
-			return
-		}
-		t.shardFor(key).observeSYNACK(key)
+	op, ok := t.keyRecord(&r)
+	if !ok {
+		return
 	}
+	s := t.shardFor(op.key)
+	s.mu.Lock()
+	s.applyLocked(op, int(t.periods.Load()), &t.cfg)
+	s.mu.Unlock()
 }
 
 // Record implements the ingest.RecordTap demux hook.
@@ -515,35 +587,22 @@ func (t *Tracker) Record(r trace.Record) { t.Observe(r) }
 // by source, incoming SYN/ACKs by destination, everything else (and
 // unkeyable addresses, which bump the unkeyed counter) ignored.
 func (t *Tracker) keyRecord(r *trace.Record) (feedOp, bool) {
+	var a netip.Addr
+	synAck := false
 	switch {
 	case r.Dir == trace.DirOut && r.Kind == packet.KindSYN:
-		key, ok := t.keyOf(r.Src)
-		if !ok {
-			t.unkeyed.Add(1)
-			return feedOp{}, false
-		}
-		return feedOp{key: key}, true
+		a = r.Src
 	case r.Dir == trace.DirIn && r.Kind == packet.KindSYNACK:
-		key, ok := t.keyOf(r.Dst)
-		if !ok {
-			t.unkeyed.Add(1)
-			return feedOp{}, false
-		}
-		return feedOp{key: key, synAck: true}, true
+		a, synAck = r.Dst, true
+	default:
+		return feedOp{}, false
 	}
-	return feedOp{}, false
-}
-
-// applyLocked folds one pre-keyed op into the shard. Callers hold the
-// shard lock; done is the tracker's completed-period clock, stable for
-// the whole chunk because period closes are excluded while a batch is
-// in flight.
-func (s *shard) applyLocked(op feedOp, done int, cfg *Config) {
-	if op.synAck {
-		s.observeSYNACKLocked(op.key)
-	} else {
-		s.observeSYNLocked(op.key, done, cfg)
+	key, ok := t.compactKey(a)
+	if !ok {
+		t.unkeyed.Add(1)
+		return feedOp{}, false
 	}
+	return feedOp{key: key, synAck: synAck}, true
 }
 
 // ObserveBatch routes a chunk of records, grouping ops per shard so
@@ -636,21 +695,7 @@ func (t *Tracker) Stats() TrackerStats {
 // Sources returns the tracked keys ranked most-suspect first: alarmed
 // keys, then by CUSUM statistic, SYN count and finally the key itself
 // (a total order, so the ranking is deterministic). n > 0 truncates.
-func (t *Tracker) Sources(n int) []SourceReport {
-	out := make([]SourceReport, 0, 64)
-	for _, s := range t.shards {
-		s.mu.Lock()
-		for _, st := range s.heap {
-			out = append(out, st.report())
-		}
-		s.mu.Unlock()
-	}
-	slices.SortFunc(out, compareSourceReports)
-	if n > 0 && len(out) > n {
-		out = out[:n]
-	}
-	return out
-}
+func (t *Tracker) Sources(n int) []SourceReport { return t.View(n).Sources }
 
 // TrackerView is one consistent observation of the tracker: the period
 // clock, stats and ranked source list all describe the same instant —
@@ -661,18 +706,28 @@ type TrackerView struct {
 	Sources []SourceReport
 }
 
+// maxSelect is the largest limit View ranks by selection; above it a
+// full sort of the population is cheaper than the insertion list.
+const maxSelect = 64
+
 // View captures a consistent view of the tracker in a single sweep.
 // Unlike calling Periods, Stats and Sources back to back, the three
 // parts cannot straddle a ClosePeriod: the whole collection runs under
-// the shared sweep lock, touching each shard's lock exactly once. Every
-// tracked key is collected; limit > 0 truncates the ranked list (the
-// stats still describe the full population).
+// the shared sweep lock, touching each shard's lock once. limit > 0
+// returns only the top limit ranked keys — selected, not sorted, when
+// limit is small, so reports are built for those rows alone; the stats
+// still describe the full population. limit <= 0 returns every key.
 func (t *Tracker) View(limit int) TrackerView {
 	t.sweepMu.RLock()
 	v := TrackerView{
 		Periods: int(t.periods.Load()),
 		Stats:   TrackerStats{Unkeyed: t.unkeyed.Load()},
-		Sources: make([]SourceReport, 0, 64),
+	}
+	selecting := limit > 0 && limit <= maxSelect
+	if selecting {
+		v.Sources = make([]SourceReport, 0, limit)
+	} else {
+		v.Sources = make([]SourceReport, 0, t.tracked())
 	}
 	for _, s := range t.shards {
 		s.mu.Lock()
@@ -682,42 +737,107 @@ func (t *Tracker) View(limit int) TrackerView {
 		v.Stats.Evicted += s.evicted
 		v.Stats.Tracked += len(s.heap)
 		v.Stats.Alarmed += s.alarmed
-		for _, st := range s.heap {
-			v.Sources = append(v.Sources, st.report())
+		if selecting {
+			// Leaves first: they hold the shard's largest counts, so
+			// the list fills with strong rows early and most later
+			// states lose a single comparison against its tail.
+			for i := len(s.heap) - 1; i >= 0; i-- {
+				v.Sources = offerTop(v.Sources, limit, s.heap[i])
+			}
+		} else {
+			for _, st := range s.heap {
+				v.Sources = append(v.Sources, st.report())
+			}
 		}
 		s.mu.Unlock()
 	}
 	t.sweepMu.RUnlock()
-	slices.SortFunc(v.Sources, compareSourceReports)
-	if limit > 0 && len(v.Sources) > limit {
-		v.Sources = v.Sources[:limit]
+	if !selecting {
+		v.Sources = sortReports(v.Sources)
+		if limit > 0 && len(v.Sources) > limit {
+			v.Sources = v.Sources[:limit]
+		}
 	}
 	return v
 }
 
-func compareSourceReports(a, b SourceReport) int {
-	if a.Alarmed != b.Alarmed {
-		if a.Alarmed {
+// tracked counts the tracked keys, for sizing a full view. Callers
+// hold sweepMu; admissions may still grow the count afterwards.
+func (t *Tracker) tracked() int {
+	n := 0
+	for _, s := range t.shards {
+		s.mu.Lock()
+		n += len(s.heap)
+		s.mu.Unlock()
+	}
+	return n
+}
+
+// offerTop inserts st into top, a list of at most limit reports kept in
+// ranked order, if it ranks among the best limit seen so far. A report
+// is built only once st earns a place. Callers hold st's shard lock.
+func offerTop(top []SourceReport, limit int, st *keyState) []SourceReport {
+	alarmed, y := st.alarm != nil, st.det.Statistic()
+	n := len(top)
+	if n == limit && compareRank(alarmed, y, st.count, st.key, &top[n-1]) >= 0 {
+		return top
+	}
+	i := n
+	for i > 0 && compareRank(alarmed, y, st.count, st.key, &top[i-1]) < 0 {
+		i--
+	}
+	if n < limit {
+		top = append(top, SourceReport{})
+	}
+	copy(top[i+1:], top[i:])
+	top[i] = st.report()
+	return top
+}
+
+// sortReports returns rows ranked. It sorts pointers and copies each
+// row once, instead of swapping whole reports.
+func sortReports(rows []SourceReport) []SourceReport {
+	ptrs := make([]*SourceReport, len(rows))
+	for i := range rows {
+		ptrs[i] = &rows[i]
+	}
+	slices.SortFunc(ptrs, func(a, b *SourceReport) int {
+		return compareRank(a.Alarmed, a.Y, a.Count, a.Key, b)
+	})
+	out := make([]SourceReport, len(rows))
+	for i, p := range ptrs {
+		out[i] = *p
+	}
+	return out
+}
+
+// compareRank orders a key with the given ranked fields against row b,
+// most-suspect first: alarmed, then by CUSUM statistic, SYN count and
+// the key itself (a total order over distinct keys, so selection and
+// sorting agree).
+func compareRank(alarmed bool, y float64, count uint64, key netip.Prefix, b *SourceReport) int {
+	if alarmed != b.Alarmed {
+		if alarmed {
 			return -1
 		}
 		return 1
 	}
-	if a.Y != b.Y {
-		if a.Y > b.Y {
+	if y != b.Y {
+		if y > b.Y {
 			return -1
 		}
 		return 1
 	}
-	if a.Count != b.Count {
-		if a.Count > b.Count {
+	if count != b.Count {
+		if count > b.Count {
 			return -1
 		}
 		return 1
 	}
-	if c := a.Key.Addr().Compare(b.Key.Addr()); c != 0 {
+	if c := key.Addr().Compare(b.Key.Addr()); c != 0 {
 		return c
 	}
-	return a.Key.Bits() - b.Key.Bits()
+	return key.Bits() - b.Key.Bits()
 }
 
 // ProcessTrace replays a recorded trace through the tracker with the

@@ -206,8 +206,8 @@ func TestBoundedMemoryMillionSources(t *testing.T) {
 		t.Fatalf("Evicted = %d, want %d — truncation must be fully accounted", st.Evicted, n-256)
 	}
 	for i, sh := range tk.shards {
-		if len(sh.heap) != sh.cap || len(sh.states) != len(sh.heap) {
-			t.Fatalf("shard %d: %d heap / %d states, cap %d", i, len(sh.heap), len(sh.states), sh.cap)
+		if len(sh.heap) != sh.cap || sh.index.n != len(sh.heap) {
+			t.Fatalf("shard %d: %d heap / %d states, cap %d", i, len(sh.heap), sh.index.n, sh.cap)
 		}
 	}
 	if got := len(tk.Sources(10)); got != 10 {
