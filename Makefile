@@ -52,7 +52,7 @@ bench:
 # reported informationally. Raise GATETOL on noisy shared hardware.
 GATECOUNT ?= 3
 GATETOL ?= 0.10
-GATEHOT ?= Ingest|BatchIngest|SweepFastPath|RunCellFastPath|Fusion|FrameParse|TwoQueueAccept|SourceTrack|TrackerView
+GATEHOT ?= Ingest|BatchIngest|SweepFastPath|RunCellFastPath|Fusion|FrameParse|TwoQueueAccept|SourceTrack|TrackerView|PcapInfo|LoadBinary
 bench-gate:
 	$(GO) test -run '^$$' -bench '$(GATEHOT)' -benchmem -count=$(GATECOUNT) . \
 		| $(GO) run ./cmd/benchjson -baseline BENCH_pr10.json -tolerance $(GATETOL) -hot '$(GATEHOT)'
@@ -116,6 +116,7 @@ FUZZTIME ?= 8s
 fuzz:
 	$(GO) test ./internal/packet -fuzz '^FuzzClassify$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/packet -fuzz '^FuzzSegmentUnmarshal$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/packet -fuzz '^FuzzDecodeTCP4$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -fuzz '^FuzzReadBinary$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -fuzz '^FuzzReadCSV$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -fuzz '^FuzzAggregate$$' -fuzztime $(FUZZTIME)

@@ -671,6 +671,49 @@ func BenchmarkStreamingIngestTcpdump(b *testing.B) {
 	benchStreamingIngest(b, ".txt", 0, nil)
 }
 
+// BenchmarkPcapInfo measures the prescan syndogd runs before a pcap
+// replay: count the classified frames and find the span, decoding in
+// place without building records.
+func BenchmarkPcapInfo(b *testing.B) {
+	path, records := streamBenchPcap(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f, err := os.Open(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		info, err := ingest.PcapInfo(f)
+		f.Close()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if info.Records != records {
+			b.Fatalf("counted %d records, want %d", info.Records, records)
+		}
+	}
+	b.ReportMetric(float64(records)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
+}
+
+// BenchmarkLoadBinary measures loading a binary trace with its
+// invariants checked — the set-up of a daemon replaying a binary
+// input: one exact-size record slice, decoded and validated in one
+// pass.
+func BenchmarkLoadBinary(b *testing.B) {
+	path, _ := streamBenchFile(b, ".trace")
+	b.ReportAllocs()
+	b.ResetTimer()
+	records := 0
+	for i := 0; i < b.N; i++ {
+		tr, err := trace.LoadValidated(path, netip.Prefix{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		records = len(tr.Records)
+	}
+	b.ReportMetric(float64(records)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
+}
+
 // BenchmarkBatchIngest pins the batch machinery itself on the pcap
 // path: chunk-size scaling, the arena's steady-state reuse, and the
 // single-record compatibility loop the batch path replaced (record —

@@ -5,11 +5,12 @@
 //
 // The package is built from three pieces:
 //
-//   - FrameParser decodes one raw frame exactly the way the offline
-//     pcap path does (pcapng.LinkPayload link stripping, the paper's
-//     classifier, packet.Segment decoding, destination-based direction
-//     inference), so a capture replayed live is bit-identical to the
-//     same capture replayed through ingest.Open.
+//   - FrameParser decodes one raw frame with the offline pcap path's
+//     own decoder (trace.DecodeFrame: pcapng.LinkPayload link
+//     stripping, the fused packet.DecodeTCP4 classify+decode,
+//     destination-based direction inference), so a capture replayed
+//     live is bit-identical to the same capture replayed through
+//     ingest.Open.
 //   - FrameReader abstracts where frames come from: PcapReader wraps
 //     any pcap byte-stream; the AF_PACKET reader (afpacket_linux.go,
 //     behind "linux && live") reads a real interface.
@@ -37,7 +38,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/packet"
 	"repro/internal/pcapng"
 	"repro/internal/trace"
 )
@@ -66,17 +66,15 @@ type FrameReader interface {
 	Close() error
 }
 
-// FrameParser decodes one captured frame into a trace.Record with the
-// exact pipeline the offline pcap path uses: link-layer stripping,
-// classification, TCP segment decoding, and destination-based
-// direction inference. Parse never panics on arbitrary bytes (pinned
-// by FuzzFrameParse) and must stay in lockstep with
-// trace.PcapStream.NextDir — the equivalence suite compares the two
-// decode for decode.
+// FrameParser decodes one captured frame into a trace.Record through
+// trace.DecodeFrame, the decoder trace.PcapStream uses: link-layer
+// stripping, the fused classify+decode of packet.DecodeTCP4, and
+// destination-based direction inference. Live capture and file replay
+// therefore decode the same bytes to the same records. Parse never
+// panics on arbitrary bytes (pinned by FuzzFrameParse).
 type FrameParser struct {
 	linkType uint32
 	prefix   netip.Prefix
-	seg      packet.Segment // decode target, kept off the per-call stack
 }
 
 // NewFrameParser builds a parser for frames of the given pcap link
@@ -99,30 +97,7 @@ func NewFrameParser(linkType uint32, stubPrefix netip.Prefix) (*FrameParser, err
 // classifier ignores: non-IPv4, non-TCP, fragmented or malformed — the
 // same skips the offline pcap decoder applies.
 func (p *FrameParser) Parse(ts time.Duration, data []byte) (rec trace.Record, ok bool) {
-	raw, err := pcapng.LinkPayload(p.linkType, data)
-	if err != nil {
-		return trace.Record{}, false
-	}
-	if packet.Classify(raw) == packet.KindNotTCP {
-		return trace.Record{}, false
-	}
-	seg := &p.seg
-	if err := seg.Unmarshal(raw); err != nil {
-		return trace.Record{}, false
-	}
-	dir := trace.DirOut
-	if p.prefix.Contains(seg.IP.Dst) {
-		dir = trace.DirIn
-	}
-	return trace.Record{
-		Ts:      ts,
-		Kind:    seg.Kind(),
-		Dir:     dir,
-		Src:     seg.IP.Src,
-		Dst:     seg.IP.Dst,
-		SrcPort: seg.TCP.SrcPort,
-		DstPort: seg.TCP.DstPort,
-	}, true
+	return trace.DecodeFrame(p.linkType, ts, data, p.prefix)
 }
 
 // PcapReader is the portable FrameReader: it reads classic libpcap
@@ -399,11 +374,13 @@ func (s *Source) NextBatch(buf []trace.Record) (int, error) {
 	return n, nil
 }
 
-// Span reports lastTs+1 over the classified records so far (0 before
-// the first), matching the offline pcap stream's contract once the
-// source is exhausted.
+// Span reports lastTs+1 over the classified records once the producer
+// has exited, and 0 while frames may still arrive — the
+// ingest.SpanSource "not yet known" value, so a pipeline that asks
+// early never sizes its replay from a partial span. This matches the
+// offline pcap stream's contract.
 func (s *Source) Span() time.Duration {
-	if !s.seen.Load() {
+	if !s.readerDone.Load() || !s.seen.Load() {
 		return 0
 	}
 	return time.Duration(s.maxTs.Load()) + 1

@@ -393,6 +393,37 @@ func TestCloseUnblocksBlockedRead(t *testing.T) {
 	}
 }
 
+// TestSpanUnknownUntilProducerExits pins the ingest.SpanSource
+// contract: while frames may still arrive Span reports 0 ("not yet
+// known"), however many records have already flowed; once the reader
+// hits EOF it reports lastTs+1. A partial span read early would let a
+// pipeline size its replay short of the capture.
+func TestSpanUnknownUntilProducerExits(t *testing.T) {
+	const n = 5
+	r := newStubReader(stubFrames(t, n))
+	r.block = make(chan struct{})
+	src, err := NewSource(r, Config{StubPrefix: testPrefix})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	for i := 0; i < n; i++ {
+		if _, err := src.Next(); err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
+		if got := src.Span(); got != 0 {
+			t.Fatalf("after record %d, with the reader still open: Span = %v, want 0", i, got)
+		}
+	}
+	close(r.block) // the reader now returns io.EOF
+	if _, err := src.Next(); err != io.EOF {
+		t.Fatalf("after the reader's EOF: err = %v, want io.EOF", err)
+	}
+	if got, want := src.Span(), (n-1)*time.Millisecond+1; got != want {
+		t.Errorf("after EOF: Span = %v, want %v", got, want)
+	}
+}
+
 // TestReaderErrorSurfaced: a mid-stream reader failure reaches the
 // consumer after the ring drains, instead of masquerading as EOF.
 func TestReaderErrorSurfaced(t *testing.T) {

@@ -247,16 +247,13 @@ func NewIPTraceSource(r io.Reader) (*IPTraceSource, error) {
 
 // Next returns the next classified TCP record.
 func (s *IPTraceSource) Next() (trace.Record, error) {
-	var seg packet.Segment
 	for {
 		p, err := s.cr.Next()
 		if err != nil {
 			return trace.Record{}, err
 		}
-		if packet.Classify(p.Data) == packet.KindNotTCP {
-			continue
-		}
-		if err := seg.Unmarshal(p.Data); err != nil {
+		src, dst, sport, dport, kind, ok := packet.DecodeTCP4(p.Data)
+		if !ok {
 			continue
 		}
 		dir := trace.DirIn
@@ -269,12 +266,12 @@ func (s *IPTraceSource) Next() (trace.Record, error) {
 		}
 		return trace.Record{
 			Ts:      p.Ts,
-			Kind:    seg.Kind(),
+			Kind:    kind,
 			Dir:     dir,
-			Src:     seg.IP.Src,
-			Dst:     seg.IP.Dst,
-			SrcPort: seg.TCP.SrcPort,
-			DstPort: seg.TCP.DstPort,
+			Src:     netip.AddrFrom4(src),
+			Dst:     netip.AddrFrom4(dst),
+			SrcPort: sport,
+			DstPort: dport,
 		}, nil
 	}
 }
@@ -406,22 +403,16 @@ func openReader(r io.Reader, c io.Closer, path string, stubPrefix netip.Prefix) 
 // PcapInfo prescans a pcap stream in O(1) memory, returning its
 // classified-record count and span — how the daemon sizes a pcap
 // replay (total periods, progress denominators) before re-opening the
-// file for the paced run.
+// file for the paced run. The scan counts frames in place
+// (trace.PcapStream.Skim) without building records.
 func PcapInfo(r io.Reader) (Info, error) {
 	s, err := trace.NewPcapStream(r)
 	if err != nil {
 		return Info{}, err
 	}
-	n := 0
-	for {
-		_, err := s.NextDir(netip.Prefix{})
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return Info{}, err
-		}
-		n++
+	n, err := s.Skim()
+	if err != nil {
+		return Info{}, err
 	}
 	return Info{Span: s.Span(), Records: n}, nil
 }

@@ -53,6 +53,36 @@ func FuzzSegmentUnmarshal(f *testing.F) {
 	})
 }
 
+// FuzzDecodeTCP4 pins the fused decoder to the two-step reference it
+// replaces on the ingest paths: ok holds exactly when Classify and
+// Segment.Unmarshal both accept, and then every field equals the
+// Segment's.
+func FuzzDecodeTCP4(f *testing.F) {
+	seg := Build(netip.MustParseAddr("10.0.0.1"), netip.MustParseAddr("130.216.0.9"),
+		1234, 80, 7, 0, FlagSYN)
+	good := seg.Marshal(nil)
+	f.Add(good)
+	f.Add(good[:39])
+	f.Add(append(good, 0xde, 0xad))
+	f.Add([]byte{})
+	f.Add(make([]byte, 40))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		src, dst, sport, dport, kind, ok := DecodeTCP4(raw)
+		var s Segment
+		want := Classify(raw) != KindNotTCP && s.Unmarshal(raw) == nil
+		if ok != want {
+			t.Fatalf("DecodeTCP4 ok = %v, Classify+Unmarshal accept = %v", ok, want)
+		}
+		if !ok {
+			return
+		}
+		if netip.AddrFrom4(src) != s.IP.Src || netip.AddrFrom4(dst) != s.IP.Dst ||
+			sport != s.TCP.SrcPort || dport != s.TCP.DstPort || kind != s.Kind() {
+			t.Fatalf("DecodeTCP4 = %v %v %d %d %v, Segment = %+v", src, dst, sport, dport, kind, s)
+		}
+	})
+}
+
 func min(a, b int) int {
 	if a < b {
 		return a

@@ -325,6 +325,29 @@ func (s *Segment) Unmarshal(raw []byte) error {
 // Kind classifies the segment.
 func (s *Segment) Kind() Kind { return s.TCP.Kind() }
 
+// DecodeTCP4 is the fused per-packet decode of the ingest paths: one
+// pass over raw yields the addressing and classification a trace
+// record needs. ok is true exactly when Classify(raw) != KindNotTCP
+// and Segment.Unmarshal(raw) succeeds — an options-free IPv4 header
+// (IHL 5) carrying TCP, no fragment offset or MF bit, at least 40
+// bytes, and a TCP data offset that fits the packet — and then every
+// field equals the decoded Segment's. It never allocates.
+func DecodeTCP4(raw []byte) (src, dst [4]byte, sport, dport uint16, kind Kind, ok bool) {
+	if len(raw) < IPv4HeaderLen+TCPHeaderLen || raw[0] != 4<<4|5 || raw[9] != ProtocolTCP {
+		return
+	}
+	if binary.BigEndian.Uint16(raw[6:8])&0x3fff != 0 { // MF bit or fragment offset
+		return
+	}
+	tcp := raw[IPv4HeaderLen:]
+	if dataOff := int(tcp[12]>>4) * 4; dataOff < TCPHeaderLen || dataOff > len(tcp) {
+		return
+	}
+	return [4]byte(raw[12:16]), [4]byte(raw[16:20]),
+		binary.BigEndian.Uint16(tcp[0:2]), binary.BigEndian.Uint16(tcp[2:4]),
+		ClassifyFlags(tcp[13]), true
+}
+
 // Checksum computes the ones-complement Internet checksum of data,
 // seeded with an initial partial sum (use 0 for plain headers, or the
 // pseudo-header sum for TCP).

@@ -49,23 +49,33 @@ func FuzzReader(f *testing.F) {
 }
 
 // FuzzReaderStreaming asserts incremental Next calls terminate and
-// never return both a packet and an error.
+// never return both a packet and an error, and that NextReuse — alone
+// or interleaved with Next — reads exactly what ReadAll reads.
 func FuzzReaderStreaming(f *testing.F) {
 	var buf bytes.Buffer
 	w, _ := NewWriter(&buf, 64)
 	_ = w.Write(Packet{Data: []byte{9}})
+	_ = w.Write(Packet{Ts: time.Second, Data: []byte{1, 2, 3}})
 	f.Add(buf.Bytes())
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		r, err := NewReader(bytes.NewReader(raw))
 		if err != nil {
 			return
 		}
+		terminated := false
 		for i := 0; i < 100000; i++ {
 			_, err := r.Next()
 			if err == io.EOF || err != nil {
-				return
+				terminated = true
+				break
 			}
 		}
-		t.Fatal("reader did not terminate")
+		if !terminated {
+			t.Fatal("reader did not terminate")
+		}
+		got, err := readMixed(t, raw, func(int) bool { return true })
+		sameAsReadAll(t, raw, got, err)
+		got, err = readMixed(t, raw, func(i int) bool { return i%2 == 1 })
+		sameAsReadAll(t, raw, got, err)
 	})
 }

@@ -160,31 +160,33 @@ func (w *Writer) Write(p Packet) error {
 
 // Reader decodes a pcap stream.
 type Reader struct {
-	r        io.Reader
+	br       *bufio.Reader
 	order    binary.ByteOrder
 	nano     bool
 	linkType uint32
 	snapLen  uint32
-	scratch  []byte                // NextReuse buffer
+	scratch  []byte                // copy-path NextReuse buffer
 	hdr      [recordHeaderLen]byte // record-header buffer, kept off the per-call stack
+
+	// win is NextReuse's zero-copy window: bytes peeked from br, of
+	// which the first off are consumed records still to be discarded.
+	win []byte
+	off int
 }
 
 // NewReader parses the file header and returns a Reader.
 //
-// Each packet record costs two small reads (header, then data). Over a
-// raw *os.File those are two syscalls per packet and dominate streaming
-// ingest, so readers that do not already buffer — detected by the
-// absence of io.ByteReader, which bufio.Reader, bytes.Reader and
-// bytes.Buffer all provide — are wrapped in a 64 KiB bufio.Reader.
+// The stream is read through a 64 KiB bufio.Reader (r itself when it
+// already is one that large): NextReuse walks whole records inside
+// that buffer, and Next copies out of it, so a raw *os.File costs one
+// read syscall per 64 KiB rather than two per packet.
 func NewReader(r io.Reader) (*Reader, error) {
-	if _, ok := r.(io.ByteReader); !ok {
-		r = bufio.NewReaderSize(r, 1<<16)
-	}
+	br := bufio.NewReaderSize(r, 1<<16)
 	var hdr [fileHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return nil, fmt.Errorf("pcapng: read header: %w", errTrunc(err))
 	}
-	rd := &Reader{r: r}
+	rd := &Reader{br: br}
 	magic := binary.LittleEndian.Uint32(hdr[0:4])
 	switch magic {
 	case magicMicro:
@@ -216,52 +218,125 @@ func (r *Reader) Next() (Packet, error) {
 	return r.next(false)
 }
 
-// NextReuse is Next with an amortized-zero-allocation contract: the
-// returned Packet's Data aliases an internal scratch buffer that the
-// following NextReuse (or Next) call overwrites. Streaming consumers
-// that classify and drop each packet before pulling the next one — the
-// ingest pipeline — use it to keep per-record allocation O(1).
+// NextReuse is Next with a zero-copy contract: the returned Packet's
+// Data aliases the reader's buffer and is only valid until the
+// following NextReuse or Next call. Streaming consumers that classify
+// and drop each packet before pulling the next one — the ingest
+// pipeline, the capture frame reader — use it to decode in place.
+//
+// Whole records are served straight out of the buffered window. A
+// refill blocks only for the bytes the next record needs, never for a
+// full buffer, so frames written to a FIFO by `tcpdump -w -` are
+// delivered as soon as they are complete. Records that cannot sit in
+// the window (larger than the buffer, truncated, or breaking the snap
+// length) take Next's copy path, which yields the same errors.
 func (r *Reader) NextReuse() (Packet, error) {
+	if p, ok := r.window(); ok {
+		return p, nil
+	}
+	if r.refill() {
+		if p, ok := r.window(); ok {
+			return p, nil
+		}
+	}
 	return r.next(true)
 }
 
-func (r *Reader) next(reuse bool) (Packet, error) {
-	if _, err := io.ReadFull(r.r, r.hdr[:]); err != nil {
-		if err == io.EOF {
-			return Packet{}, io.EOF
-		}
-		return Packet{}, errTrunc(err)
+// window serves the next record from the peeked window if it lies in
+// it whole.
+func (r *Reader) window() (Packet, bool) {
+	w := r.win[r.off:]
+	if len(w) < recordHeaderLen {
+		return Packet{}, false
 	}
-	sec := r.order.Uint32(r.hdr[0:4])
-	frac := r.order.Uint32(r.hdr[4:8])
-	capLen := r.order.Uint32(r.hdr[8:12])
+	ts, capLen, err := r.header(w)
+	end := recordHeaderLen + capLen
+	if err != nil || end > len(w) {
+		return Packet{}, false
+	}
+	r.off += end
+	return Packet{Ts: ts, Data: w[recordHeaderLen:end:end]}, true
+}
+
+// refill discards the consumed records and peeks a new window holding
+// at least the next whole record, plus whatever else is already
+// buffered. It reports false when that record cannot be windowed.
+func (r *Reader) refill() bool {
+	r.flush()
+	h, err := r.br.Peek(recordHeaderLen)
+	if err != nil {
+		return false
+	}
+	_, capLen, err := r.header(h)
+	if err != nil || recordHeaderLen+capLen > r.br.Size() {
+		return false
+	}
+	if _, err := r.br.Peek(recordHeaderLen + capLen); err != nil {
+		return false
+	}
+	r.win, _ = r.br.Peek(r.br.Buffered()) // already buffered: cannot fail or block
+	return true
+}
+
+// flush discards the window's consumed records from the buffer, so the
+// copy path resumes exactly after the last record served.
+func (r *Reader) flush() {
+	if r.off > 0 {
+		r.br.Discard(r.off) // the window is buffered bytes: cannot fail
+	}
+	r.win, r.off = nil, 0
+}
+
+// header decodes one record header into the timestamp and captured
+// length, rejecting lengths over the snap length or the sanity cap.
+func (r *Reader) header(h []byte) (time.Duration, int, error) {
+	sec := r.order.Uint32(h[0:4])
+	frac := r.order.Uint32(h[4:8])
+	capLen := r.order.Uint32(h[8:12])
 	if r.snapLen > 0 && capLen > r.snapLen {
-		return Packet{}, fmt.Errorf("pcapng: record length %d exceeds snaplen %d", capLen, r.snapLen)
+		return 0, 0, fmt.Errorf("pcapng: record length %d exceeds snaplen %d", capLen, r.snapLen)
 	}
 	// Absolute sanity cap independent of the (attacker-controlled)
 	// snaplen field: no real capture stores 16 MiB frames, and a
 	// forged length must not drive allocation.
 	const maxRecord = 16 << 20
 	if capLen > maxRecord {
-		return Packet{}, fmt.Errorf("pcapng: record length %d exceeds sanity cap", capLen)
-	}
-	var data []byte
-	if reuse {
-		if cap(r.scratch) < int(capLen) {
-			r.scratch = make([]byte, capLen)
-		}
-		data = r.scratch[:capLen]
-	} else {
-		data = make([]byte, capLen)
-	}
-	if _, err := io.ReadFull(r.r, data); err != nil {
-		return Packet{}, errTrunc(err)
+		return 0, 0, fmt.Errorf("pcapng: record length %d exceeds sanity cap", capLen)
 	}
 	ts := time.Duration(sec) * time.Second
 	if r.nano {
 		ts += time.Duration(frac) * time.Nanosecond
 	} else {
 		ts += time.Duration(frac) * time.Microsecond
+	}
+	return ts, int(capLen), nil
+}
+
+// next is the copy path: it reads one record out of the buffer into
+// fresh memory, or into the reuse scratch.
+func (r *Reader) next(reuse bool) (Packet, error) {
+	r.flush()
+	if _, err := io.ReadFull(r.br, r.hdr[:]); err != nil {
+		if err == io.EOF {
+			return Packet{}, io.EOF
+		}
+		return Packet{}, errTrunc(err)
+	}
+	ts, capLen, err := r.header(r.hdr[:])
+	if err != nil {
+		return Packet{}, err
+	}
+	var data []byte
+	if reuse {
+		if cap(r.scratch) < capLen {
+			r.scratch = make([]byte, capLen)
+		}
+		data = r.scratch[:capLen]
+	} else {
+		data = make([]byte, capLen)
+	}
+	if _, err := io.ReadFull(r.br, data); err != nil {
+		return Packet{}, errTrunc(err)
 	}
 	return Packet{Ts: ts, Data: data}, nil
 }

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
+	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -74,31 +76,64 @@ func WriteBinary(w io.Writer, t *Trace) error {
 	return bw.Flush()
 }
 
-// ReadBinary parses a binary trace stream. It is a collect loop over
-// BinaryStream; use the stream directly for O(1)-memory ingestion.
+// ReadBinary parses a binary trace stream into one record slice. It
+// is a bulk collect loop over BinaryStream; use the stream directly
+// for O(1)-memory ingestion.
 func ReadBinary(r io.Reader) (*Trace, error) {
+	return readBinary(r, nil)
+}
+
+// binaryChunk is how many records readBinary decodes per NextBatch
+// call: small enough that a validating load checks each run while it
+// is still in cache.
+const binaryChunk = 4096
+
+// readBinary decodes the records into a slice sized once. The header
+// count is trusted only as far as the input can hold it: over a
+// regular file the slice is exactly the count, capped by file size
+// over the record size; an unsized reader gets at most 64k records up
+// front and grows as records actually arrive, so a forged count cannot
+// make a tiny input allocate gigabytes (found by FuzzReadBinary). A
+// non-nil v checks each decoded run, folding Validate into the pass.
+func readBinary(r io.Reader, v *validator) (*Trace, error) {
+	limit := int64(1 << 16)
+	if f, ok := r.(*os.File); ok {
+		if fi, err := f.Stat(); err == nil && fi.Mode().IsRegular() {
+			limit = fi.Size() / recordWireLen
+		}
+	}
 	s, err := NewBinaryStream(r)
 	if err != nil {
 		return nil, err
 	}
 	t := &Trace{Name: s.Name(), Span: s.Span()}
-	// Pre-size from the header but cap the trust: a forged count must
-	// not let a tiny input allocate gigabytes (found by FuzzReadBinary).
-	preAlloc := s.Count()
-	if preAlloc > 1<<16 {
-		preAlloc = 1 << 16
+	if v != nil {
+		v.span = t.Span
 	}
-	t.Records = make([]Record, 0, preAlloc)
+	recs := make([]Record, 0, min(int64(s.Count()), limit))
 	for {
-		rec, err := s.Next()
+		if len(recs) == cap(recs) {
+			left := int(s.Count() - s.read)
+			if left == 0 {
+				break
+			}
+			recs = slices.Grow(recs, min(left, max(len(recs), 1<<16)))
+		}
+		run := recs[len(recs):min(cap(recs), len(recs)+binaryChunk)]
+		n, err := s.NextBatch(run)
+		if v != nil {
+			v.check(run[:n])
+		}
+		recs = recs[:len(recs)+n]
 		if err == io.EOF {
-			return t, nil
+			break
 		}
 		if err != nil {
 			return nil, err
 		}
-		t.Records = append(t.Records, rec)
 	}
+	t.Records = recs
+	return t, nil
 }
 
 func wrapTrunc(err error) error {

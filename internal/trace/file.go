@@ -19,6 +19,32 @@ import (
 //
 // Unknown extensions fall back to the binary codec.
 func Load(path string, stubPrefix netip.Prefix) (*Trace, error) {
+	return load(path, stubPrefix, nil)
+}
+
+// LoadValidated loads a trace and enforces its invariants (sorted
+// timestamps within [0, Span)) once at the door, so downstream
+// consumers — instant and paced replay alike — can assume a
+// well-formed trace instead of each deciding whether to re-check.
+// An unsorted trace mis-buckets observation periods silently, which is
+// exactly the class of divergence a long-running daemon cannot afford.
+// Binary traces are checked run by run inside the decode pass; the
+// errors are exactly Validate's.
+func LoadValidated(path string, stubPrefix netip.Prefix) (*Trace, error) {
+	var v validator
+	tr, err := load(path, stubPrefix, &v)
+	if err != nil {
+		return nil, err
+	}
+	if v.err != nil {
+		return nil, fmt.Errorf("trace: %s: %w", path, v.err)
+	}
+	return tr, nil
+}
+
+// load is Load that, given a non-nil v, also runs v over the records:
+// the binary codec inside its decode pass, the others after decoding.
+func load(path string, stubPrefix netip.Prefix, v *validator) (*Trace, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -37,37 +63,29 @@ func Load(path string, stubPrefix netip.Prefix) (*Trace, error) {
 		name = strings.TrimSuffix(path, ".gz")
 	}
 
+	var tr *Trace
 	switch {
 	case strings.HasSuffix(name, ".csv"):
-		return ReadCSV(r)
+		tr, err = ReadCSV(r)
 	case strings.HasSuffix(name, ".pcap"):
 		if !stubPrefix.IsValid() {
 			return nil, fmt.Errorf("trace: %s needs a stub prefix for direction inference", path)
 		}
-		return ReadPcap(r, path, stubPrefix)
+		tr, err = ReadPcap(r, path, stubPrefix)
 	case strings.HasSuffix(name, ".txt"), strings.HasSuffix(name, ".dump"):
 		if !stubPrefix.IsValid() {
 			return nil, fmt.Errorf("trace: %s needs a stub prefix for direction inference", path)
 		}
-		return ReadTcpdump(r, path, stubPrefix)
+		tr, err = ReadTcpdump(r, path, stubPrefix)
 	default:
-		return ReadBinary(r)
+		return readBinary(r, v)
 	}
-}
-
-// LoadValidated loads a trace and enforces its invariants (sorted
-// timestamps within [0, Span)) once at the door, so downstream
-// consumers — instant and paced replay alike — can assume a
-// well-formed trace instead of each deciding whether to re-check.
-// An unsorted trace mis-buckets observation periods silently, which is
-// exactly the class of divergence a long-running daemon cannot afford.
-func LoadValidated(path string, stubPrefix netip.Prefix) (*Trace, error) {
-	tr, err := Load(path, stubPrefix)
 	if err != nil {
 		return nil, err
 	}
-	if err := tr.Validate(); err != nil {
-		return nil, fmt.Errorf("trace: %s: %w", path, err)
+	if v != nil {
+		v.span = tr.Span
+		v.check(tr.Records)
 	}
 	return tr, nil
 }

@@ -19,14 +19,16 @@ import (
 // collect loops over these streams, so there is exactly one decoder
 // per format.
 
-// BinaryStream decodes the compact binary format record by record.
+// BinaryStream decodes the compact binary format. Records are decoded
+// in place from the bufio buffer: NextBatch converts every whole
+// record already buffered in one loop, so a refill is one read per
+// buffer, not one copy per record.
 type BinaryStream struct {
 	br    *bufio.Reader
 	name  string
 	span  time.Duration
 	count uint32
 	read  uint32
-	rec   [recordWireLen]byte // record buffer, kept off the per-call stack
 }
 
 // NewBinaryStream parses the binary header and returns a stream over
@@ -73,14 +75,49 @@ func (s *BinaryStream) Count() uint32 { return s.count }
 // Next returns the next record, io.EOF after the header's count has
 // been delivered, or ErrTruncated when the stream ends early.
 func (s *BinaryStream) Next() (Record, error) {
-	if s.read >= s.count {
-		return Record{}, io.EOF
+	var rec [1]Record
+	if _, err := s.NextBatch(rec[:]); err != nil {
+		return Record{}, err
 	}
-	rec := &s.rec
-	if _, err := io.ReadFull(s.br, rec[:]); err != nil {
-		return Record{}, wrapTrunc(err)
+	return rec[0], nil
+}
+
+// NextBatch decodes up to len(buf) records into buf, returning how
+// many were filled. io.EOF (possibly alongside n > 0) means the
+// header's count has been delivered; ErrTruncated means the stream
+// ended early. Each round waits only for one more record, then decodes
+// every whole record the buffer already holds and discards them in one
+// step.
+func (s *BinaryStream) NextBatch(buf []Record) (int, error) {
+	n := 0
+	for n < len(buf) {
+		left := s.count - s.read
+		if left == 0 {
+			return n, io.EOF
+		}
+		if _, err := s.br.Peek(recordWireLen); err != nil {
+			return n, wrapTrunc(err)
+		}
+		k := min(len(buf)-n, s.br.Buffered()/recordWireLen)
+		if uint64(k) > uint64(left) {
+			k = int(left)
+		}
+		// The k records are already buffered: Peek and Discard can
+		// neither fail nor block.
+		b, _ := s.br.Peek(k * recordWireLen)
+		for i := range buf[n : n+k] {
+			buf[n+i] = decodeRecord(b[i*recordWireLen : (i+1)*recordWireLen])
+		}
+		s.br.Discard(k * recordWireLen)
+		s.read += uint32(k)
+		n += k
 	}
-	s.read++
+	return n, nil
+}
+
+// decodeRecord decodes one 22-byte binary record.
+func decodeRecord(rec []byte) Record {
+	rec = rec[:recordWireLen]
 	return Record{
 		Ts:      time.Duration(binary.LittleEndian.Uint64(rec[0:8])),
 		Kind:    packet.Kind(rec[8]),
@@ -89,38 +126,7 @@ func (s *BinaryStream) Next() (Record, error) {
 		Dst:     netip.AddrFrom4([4]byte(rec[14:18])),
 		SrcPort: binary.LittleEndian.Uint16(rec[18:20]),
 		DstPort: binary.LittleEndian.Uint16(rec[20:22]),
-	}, nil
-}
-
-// NextBatch decodes up to len(buf) records into buf, returning how
-// many were filled. io.EOF (possibly alongside n > 0) means the
-// header's count has been delivered; ErrTruncated means the stream
-// ended early. The decode loop stays inside one call, so the per-record
-// cost is a ReadFull from the bufio buffer plus field extraction — no
-// interface dispatch.
-func (s *BinaryStream) NextBatch(buf []Record) (int, error) {
-	n := 0
-	rec := &s.rec
-	for n < len(buf) {
-		if s.read >= s.count {
-			return n, io.EOF
-		}
-		if _, err := io.ReadFull(s.br, rec[:]); err != nil {
-			return n, wrapTrunc(err)
-		}
-		s.read++
-		buf[n] = Record{
-			Ts:      time.Duration(binary.LittleEndian.Uint64(rec[0:8])),
-			Kind:    packet.Kind(rec[8]),
-			Dir:     Direction(rec[9]),
-			Src:     netip.AddrFrom4([4]byte(rec[10:14])),
-			Dst:     netip.AddrFrom4([4]byte(rec[14:18])),
-			SrcPort: binary.LittleEndian.Uint16(rec[18:20]),
-			DstPort: binary.LittleEndian.Uint16(rec[20:22]),
-		}
-		n++
 	}
-	return n, nil
 }
 
 // Close implements the ingest Source contract; the stream does not own
@@ -202,22 +208,22 @@ func (s *CSVStream) Close() error { return nil }
 
 // PcapStream decodes a libpcap capture packet by packet: each frame
 // has its link-layer header stripped (pcapng.LinkPayload — Ethernet
-// MAC headers and VLAN tags never reach the classifier), is classified
-// by the paper's classifier, and becomes a Record whose direction is
-// inferred from the destination relative to stubPrefix. Non-TCP,
-// non-IPv4, fragmented and malformed packets are skipped, exactly as
-// the leaf-router classifier would ignore them.
+// MAC headers and VLAN tags never reach the classifier), is decoded
+// and classified in one pass by packet.DecodeTCP4, and becomes a
+// Record whose direction is inferred from the destination relative to
+// stubPrefix. Non-TCP, non-IPv4, fragmented and malformed packets are
+// skipped, exactly as the leaf-router classifier would ignore them.
+// Frames are decoded in place in the reader's buffer
+// (pcapng.Reader.NextReuse); only the record fields are copied out.
 //
 // A pcap file carries no span header: Span reports lastTs+1 once the
 // stream is exhausted (0 before). Records are delivered in capture
 // order; captures from a single interface are time-ordered, which the
 // ingest pipeline verifies — use ReadPcap to repair unordered files.
 type PcapStream struct {
-	pr    *pcapng.Reader
-	max   time.Duration
-	seen  bool
-	reuse bool
-	seg   packet.Segment // decode target, kept off the per-call stack
+	pr   *pcapng.Reader
+	max  time.Duration
+	seen bool
 }
 
 // NewPcapStream parses the pcap file header and returns a stream.
@@ -231,7 +237,7 @@ func NewPcapStream(r io.Reader) (*PcapStream, error) {
 	default:
 		return nil, fmt.Errorf("trace: unsupported link type %d", pr.LinkType())
 	}
-	return &PcapStream{pr: pr, reuse: true}, nil
+	return &PcapStream{pr: pr}, nil
 }
 
 // Span returns lastTs+1 after the stream is exhausted, 0 before (pcap
@@ -243,97 +249,110 @@ func (s *PcapStream) Span() time.Duration {
 	return s.max + 1
 }
 
-// Next returns the next classified TCP record. stubPrefix-based
-// direction inference happens in NextDir; Next is the common decode.
-func (s *PcapStream) next() (time.Duration, *packet.Segment, error) {
-	seg := &s.seg
-	for {
-		var (
-			p   pcapng.Packet
-			err error
-		)
-		if s.reuse {
-			p, err = s.pr.NextReuse()
-		} else {
-			p, err = s.pr.Next()
-		}
-		if err != nil {
-			return 0, nil, err
-		}
-		raw, err := pcapng.LinkPayload(s.pr.LinkType(), p.Data)
-		if err != nil {
-			continue // not an IPv4 frame; the classifier ignores it
-		}
-		if packet.Classify(raw) == packet.KindNotTCP {
-			continue
-		}
-		if err := seg.Unmarshal(raw); err != nil {
-			continue
-		}
-		// Span covers classified records only, matching ReadPcap's
-		// historical behavior: skipped frames never extend the span.
-		if p.Ts > s.max || !s.seen {
-			s.max = p.Ts
-			s.seen = true
-		}
-		return p.Ts, seg, nil
-	}
-}
-
 // NextDir returns the next record with direction assigned by
 // destination: packets destined inside stubPrefix are inbound,
 // everything else outbound. Destination is the right discriminator
 // because flood SYNs carry forged sources — a source-based rule would
 // misfile the very packets SYN-dog must count.
 func (s *PcapStream) NextDir(stubPrefix netip.Prefix) (Record, error) {
-	ts, seg, err := s.next()
-	if err != nil {
+	var rec [1]Record
+	if _, err := s.NextBatchDir(stubPrefix, rec[:]); err != nil {
 		return Record{}, err
 	}
-	dir := DirOut
-	if stubPrefix.Contains(seg.IP.Dst) {
-		dir = DirIn
-	}
-	return Record{
-		Ts:      ts,
-		Kind:    seg.Kind(),
-		Dir:     dir,
-		Src:     seg.IP.Src,
-		Dst:     seg.IP.Dst,
-		SrcPort: seg.TCP.SrcPort,
-		DstPort: seg.TCP.DstPort,
-	}, nil
+	return rec[0], nil
 }
 
 // NextBatchDir decodes up to len(buf) classified records into buf with
 // NextDir's destination-based direction rule. io.EOF (possibly
 // alongside n > 0) marks a clean end of stream. The whole
-// decode+classify loop runs inside one call against the buffered
-// reader, which is what lets the batch pipeline amortize its
+// decode+classify loop runs inside one call against the reader's
+// buffer, which is what lets the batch pipeline amortize its
 // per-record costs.
 func (s *PcapStream) NextBatchDir(stubPrefix netip.Prefix, buf []Record) (int, error) {
+	link := s.pr.LinkType()
 	n := 0
 	for n < len(buf) {
-		ts, seg, err := s.next()
+		p, err := s.pr.NextReuse()
 		if err != nil {
 			return n, err
 		}
-		dir := DirOut
-		if stubPrefix.Contains(seg.IP.Dst) {
-			dir = DirIn
+		rec, ok := DecodeFrame(link, p.Ts, p.Data, stubPrefix)
+		if !ok {
+			continue
 		}
-		buf[n] = Record{
-			Ts:      ts,
-			Kind:    seg.Kind(),
-			Dir:     dir,
-			Src:     seg.IP.Src,
-			Dst:     seg.IP.Dst,
-			SrcPort: seg.TCP.SrcPort,
-			DstPort: seg.TCP.DstPort,
-		}
+		s.extend(p.Ts)
+		buf[n] = rec
 		n++
 	}
 	return n, nil
+}
+
+// DecodeFrame decodes one captured link-layer frame into a record: the
+// link header is stripped (pcapng.LinkPayload), packet.DecodeTCP4
+// classifies and decodes the packet, and the record is inbound exactly
+// when its destination lies inside stubPrefix. ok is false for frames
+// the classifier ignores: non-IPv4, non-TCP, fragmented or malformed.
+// The offline pcap stream and the live capture parser both decode
+// through it, so the two cannot disagree on the same bytes.
+func DecodeFrame(linkType uint32, ts time.Duration, data []byte, stubPrefix netip.Prefix) (Record, bool) {
+	raw, err := pcapng.LinkPayload(linkType, data)
+	if err != nil {
+		return Record{}, false
+	}
+	src, dst, sport, dport, kind, ok := packet.DecodeTCP4(raw)
+	if !ok {
+		return Record{}, false
+	}
+	dstAddr := netip.AddrFrom4(dst)
+	dir := DirOut
+	if stubPrefix.Contains(dstAddr) {
+		dir = DirIn
+	}
+	return Record{
+		Ts:      ts,
+		Kind:    kind,
+		Dir:     dir,
+		Src:     netip.AddrFrom4(src),
+		Dst:     dstAddr,
+		SrcPort: sport,
+		DstPort: dport,
+	}, true
+}
+
+// Skim drains the stream without building records and returns how
+// many frames NextBatchDir would have delivered. The span advances
+// exactly as it would over those records, so after a clean Skim Span
+// is final — the O(1) prescan a replay is sized by.
+func (s *PcapStream) Skim() (int, error) {
+	link := s.pr.LinkType()
+	n := 0
+	for {
+		p, err := s.pr.NextReuse()
+		if err == io.EOF {
+			return n, nil
+		}
+		if err != nil {
+			return n, err
+		}
+		raw, err := pcapng.LinkPayload(link, p.Data)
+		if err != nil {
+			continue
+		}
+		if _, _, _, _, _, ok := packet.DecodeTCP4(raw); ok {
+			s.extend(p.Ts)
+			n++
+		}
+	}
+}
+
+// extend grows the span over one classified frame. Span covers
+// classified records only, matching ReadPcap's historical behavior:
+// skipped frames never extend it.
+func (s *PcapStream) extend(ts time.Duration) {
+	if ts > s.max || !s.seen {
+		s.max = ts
+		s.seen = true
+	}
 }
 
 // Close implements the ingest Source contract.

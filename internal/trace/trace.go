@@ -80,17 +80,37 @@ var (
 // Validate checks the trace invariants: sorted timestamps within
 // [0, Span).
 func (t *Trace) Validate() error {
-	var prev time.Duration
-	for i, r := range t.Records {
-		if r.Ts < prev {
-			return fmt.Errorf("%w: record %d at %v after %v", ErrUnsorted, i, r.Ts, prev)
-		}
-		if r.Ts < 0 || (t.Span > 0 && r.Ts >= t.Span) {
-			return fmt.Errorf("trace: record %d timestamp %v outside [0, %v)", i, r.Ts, t.Span)
-		}
-		prev = r.Ts
+	v := validator{span: t.Span}
+	v.check(t.Records)
+	return v.err
+}
+
+// validator is Validate run incrementally over consecutive runs of
+// records, so a loader can fold the check into its decode pass.
+type validator struct {
+	span time.Duration
+	prev time.Duration
+	n    int   // records checked so far
+	err  error // first violation; later runs are ignored
+}
+
+// check validates the next run of records.
+func (v *validator) check(rs []Record) {
+	if v.err != nil {
+		return
 	}
-	return nil
+	for _, r := range rs {
+		if r.Ts < v.prev {
+			v.err = fmt.Errorf("%w: record %d at %v after %v", ErrUnsorted, v.n, r.Ts, v.prev)
+			return
+		}
+		if r.Ts < 0 || (v.span > 0 && r.Ts >= v.span) {
+			v.err = fmt.Errorf("trace: record %d timestamp %v outside [0, %v)", v.n, r.Ts, v.span)
+			return
+		}
+		v.prev = r.Ts
+		v.n++
+	}
 }
 
 // Sort orders records by timestamp (stable, preserving insertion order
