@@ -52,7 +52,7 @@ bench:
 # reported informationally. Raise GATETOL on noisy shared hardware.
 GATECOUNT ?= 3
 GATETOL ?= 0.10
-GATEHOT ?= Ingest|BatchIngest|SweepFastPath|RunCellFastPath|Fusion|FrameParse|TwoQueueAccept|SourceTrack|TrackerView|PcapInfo|LoadBinary
+GATEHOT ?= Ingest|SweepFastPath|RunCellFastPath|Fusion|FrameParse|TwoQueueAccept|SourceTrack|TrackerView|PcapInfo|LoadBinary
 bench-gate:
 	$(GO) test -run '^$$' -bench '$(GATEHOT)' -benchmem -count=$(GATECOUNT) . \
 		| $(GO) run ./cmd/benchjson -baseline BENCH_pr10.json -tolerance $(GATETOL) -hot '$(GATEHOT)'
@@ -127,6 +127,7 @@ fuzz:
 	$(GO) test ./internal/sourcetrack -fuzz '^FuzzKeyedSnapshotRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/flood -fuzz '^FuzzPulsingCountsMatchRecords$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ingest -fuzz '^FuzzBatchMatchesRecordPath$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core -fuzz '^FuzzProcessCountsMatchesProcessTrace$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/capture -fuzz '^FuzzFrameParse$$' -fuzztime $(FUZZTIME)
 
 clean:

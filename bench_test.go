@@ -120,15 +120,13 @@ func BenchmarkFig8AucklandSensitivity(b *testing.B) { runArtifact(b, "fig8") }
 // a=0.2/N=0.6 detecting a 15 SYN/s flood the defaults cannot).
 func BenchmarkFig9TunedSensitivity(b *testing.B) { runArtifact(b, "fig9") }
 
-// --- counts fast path vs record-level replay ---------------------------
+// --- Monte-Carlo sweep on counts -------------------------------------
 
 // sweepBenchConfig is a Table 2-shaped sweep (12 Monte-Carlo cells on
-// a 15-minute UNC background) used to compare the two execution paths;
-// both produce byte-identical Performance rows. The background is
-// preset so the measured work is the sweep itself — aggregation plus
-// the per-cell loop — not trace synthesis, which both paths share
-// unchanged.
-func sweepBenchConfig(recordLevel bool) experiment.SweepConfig {
+// a 15-minute UNC background). The background is preset so the
+// measured work is the sweep itself — aggregation plus the per-cell
+// loop — not trace synthesis.
+func sweepBenchConfig() experiment.SweepConfig {
 	bg, _ := cellBenchInputs()
 	p := trace.UNC()
 	p.Span = bg.Span
@@ -143,12 +141,14 @@ func sweepBenchConfig(recordLevel bool) experiment.SweepConfig {
 		FloodDuration: 8 * time.Minute,
 		Seed:          1,
 		Parallelism:   1,
-		RecordLevel:   recordLevel,
 	}
 }
 
-func benchmarkSweep(b *testing.B, recordLevel bool) {
-	cfg := sweepBenchConfig(recordLevel)
+// BenchmarkSweepFastPath runs the sweep on counts: the background is
+// aggregated once, each cell bins the flood arrivals and feeds
+// per-period counts straight to the detector.
+func BenchmarkSweepFastPath(b *testing.B) {
+	cfg := sweepBenchConfig()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -162,19 +162,9 @@ func benchmarkSweep(b *testing.B, recordLevel bool) {
 	}
 }
 
-// BenchmarkSweepFastPath runs the sweep on the default counts path:
-// the background is aggregated once, each cell bins the flood arrivals
-// and feeds per-period counts straight to the detector.
-func BenchmarkSweepFastPath(b *testing.B) { benchmarkSweep(b, false) }
-
-// BenchmarkSweepRecordLevel runs the identical sweep through the
-// record-level pipeline: per cell, materialize the flood as records,
-// merge into the background and replay packet by packet.
-func BenchmarkSweepRecordLevel(b *testing.B) { benchmarkSweep(b, true) }
-
-// cellBench* hold the shared sweep inputs for the per-cell benchmarks,
-// built once per test binary so -count=N reruns and the record/fast
-// pair measure the same background.
+// cellBench* hold the shared sweep inputs for the sweep and per-cell
+// benchmarks, built once per test binary so -count=N reruns measure
+// the same background.
 var (
 	cellBenchOnce   sync.Once
 	cellBenchBG     *trace.Trace
@@ -220,26 +210,6 @@ func BenchmarkRunCellFastPath(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := r.Run(cellBenchCfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.AlarmPeriod < 0 {
-			b.Fatal("flood not detected")
-		}
-	}
-}
-
-// BenchmarkRunCellRecordLevel measures the same cell on the record
-// path: flood record generation + merge + full replay of every packet.
-func BenchmarkRunCellRecordLevel(b *testing.B) {
-	bg, _ := cellBenchInputs()
-	cfg := cellBenchCfg
-	cfg.Background = bg
-	cfg.RecordLevel = true
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.Run(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -498,7 +468,7 @@ func BenchmarkTraceGeneration(b *testing.B) {
 }
 
 // BenchmarkProcessTrace measures replaying a 10-minute Auckland trace
-// through the agent (the trace-driven experiment inner loop).
+// record by record through the ingest pipeline into a fresh agent.
 func BenchmarkProcessTrace(b *testing.B) {
 	p := trace.Auckland()
 	p.Span = 10 * time.Minute
@@ -513,7 +483,12 @@ func BenchmarkProcessTrace(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := agent.ProcessTrace(tr); err != nil {
+		p := &ingest.Pipeline{
+			Source:   ingest.NewTraceSource(tr),
+			Detector: ingest.WrapAgent(agent),
+			T0:       agent.Config().T0,
+		}
+		if err := p.Run(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -607,11 +582,9 @@ func TestMain(m *testing.M) {
 
 // benchStreamingIngest measures the full streaming pipeline over one
 // fixture format — open, classify, aggregate, detect — exactly as the
-// binaries construct it. chunk picks the pipeline's batch size
-// (0 = DefaultChunk, negative = the single-record compatibility loop);
-// arena, when non-nil, recycles chunk buffers across iterations. The
-// records/s metric is the sustained ingest rate of one detector.
-func benchStreamingIngest(b *testing.B, ext string, chunk int, arena *ingest.Arena) {
+// binaries construct it. The records/s metric is the sustained ingest
+// rate of one detector.
+func benchStreamingIngest(b *testing.B, ext string) {
 	b.Helper()
 	path, records := streamBenchFile(b, ext)
 	prefix := netip.MustParsePrefix("130.216.0.0/16")
@@ -630,8 +603,6 @@ func benchStreamingIngest(b *testing.B, ext string, chunk int, arena *ingest.Are
 			Source:   src,
 			Detector: ingest.WrapAgent(agent),
 			T0:       core.DefaultObservationPeriod,
-			Chunk:    chunk,
-			Arena:    arena,
 		}
 		if err := p.Run(); err != nil {
 			b.Fatal(err)
@@ -649,18 +620,18 @@ func benchStreamingIngest(b *testing.B, ext string, chunk int, arena *ingest.Are
 // BenchmarkStreamingIngestPcap is the headline ingest benchmark: the
 // batch pipeline over a pcap capture, which never materializes.
 func BenchmarkStreamingIngestPcap(b *testing.B) {
-	benchStreamingIngest(b, ".pcap", 0, nil)
+	benchStreamingIngest(b, ".pcap")
 }
 
 // BenchmarkStreamingIngestBinary streams the compact binary container.
 func BenchmarkStreamingIngestBinary(b *testing.B) {
-	benchStreamingIngest(b, ".trace", 0, nil)
+	benchStreamingIngest(b, ".trace")
 }
 
 // BenchmarkStreamingIngestCSV streams the text container; the line
 // scanner and field parser dominate.
 func BenchmarkStreamingIngestCSV(b *testing.B) {
-	benchStreamingIngest(b, ".csv", 0, nil)
+	benchStreamingIngest(b, ".csv")
 }
 
 // BenchmarkStreamingIngestTcpdump imports tcpdump -n text. This reader
@@ -668,7 +639,7 @@ func BenchmarkStreamingIngestCSV(b *testing.B) {
 // figure includes the parse and sort, then a batch replay of the
 // in-memory records.
 func BenchmarkStreamingIngestTcpdump(b *testing.B) {
-	benchStreamingIngest(b, ".txt", 0, nil)
+	benchStreamingIngest(b, ".txt")
 }
 
 // BenchmarkPcapInfo measures the prescan syndogd runs before a pcap
@@ -712,20 +683,6 @@ func BenchmarkLoadBinary(b *testing.B) {
 		records = len(tr.Records)
 	}
 	b.ReportMetric(float64(records)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
-}
-
-// BenchmarkBatchIngest pins the batch machinery itself on the pcap
-// path: chunk-size scaling, the arena's steady-state reuse, and the
-// single-record compatibility loop the batch path replaced (record —
-// the old pipeline, what the 5× gate is measured against).
-func BenchmarkBatchIngest(b *testing.B) {
-	b.Run("record", func(b *testing.B) { benchStreamingIngest(b, ".pcap", -1, nil) })
-	for _, chunk := range []int{64, 1024, 8192} {
-		chunk := chunk
-		b.Run(fmt.Sprintf("chunk=%d", chunk), func(b *testing.B) {
-			benchStreamingIngest(b, ".pcap", chunk, ingest.NewArena(chunk))
-		})
-	}
 }
 
 // BenchmarkFloodGeneration measures synthesizing a 10-minute

@@ -7,7 +7,8 @@
 //   - one first-mile SYN-dog (SYN vs SYN/ACK) inside a single
 //     flooding stub, which sees only its slice fi = V/A;
 //   - one last-mile agent (SYN vs FIN/RST) at the victim's router,
-//     which sees the aggregate V;
+//     which sees the aggregate V — the same core.Agent, fed the
+//     victim-side pairing trace.AggregateLastMile bins;
 //   - the PPM IP-traceback fallback the last-mile defense would need
 //     to actually find the sources.
 //
@@ -28,6 +29,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/flood"
+	"repro/internal/ingest"
 	"repro/internal/iptrace"
 	"repro/internal/trace"
 )
@@ -72,7 +74,11 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if _, err := firstMile.ProcessTrace(mixed); err != nil {
+	stubCounts, err := mixed.Aggregate(firstMile.Config().T0)
+	if err != nil {
+		return err
+	}
+	if err := ingest.ReplayCounts(ingest.WrapAgent(firstMile), stubCounts); err != nil {
 		return err
 	}
 	onsetPeriod := int(onset / firstMile.Config().T0)
@@ -97,11 +103,15 @@ func run() error {
 	victimMixed := trace.Merge("victim-view", victimView, aggregate.Flip())
 	victimMixed.Span = victimView.Span
 
-	lastMile, err := core.NewLastMileAgent(core.Config{WarmupPeriods: 10})
+	lastMile, err := core.NewAgent(core.Config{WarmupPeriods: 10})
 	if err != nil {
 		return err
 	}
-	if _, err := lastMile.ProcessTrace(victimMixed); err != nil {
+	victimCounts, err := victimMixed.AggregateLastMile(lastMile.Config().T0)
+	if err != nil {
+		return err
+	}
+	if err := ingest.ReplayCounts(ingest.WrapAgent(lastMile), victimCounts); err != nil {
 		return err
 	}
 	fmt.Println("\nlast-mile agent (victim router, sees aggregate V):")

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/flood"
+	"repro/internal/ingest"
 	"repro/internal/trace"
 )
 
@@ -62,11 +63,19 @@ func run() error {
 		fmt.Println(">>> the flooding source is INSIDE this stub network — no IP traceback needed")
 	}
 
-	if _, err := agent.ProcessTrace(mixed); err != nil {
+	// 4. Stream the mix through the ingest pipeline: records are
+	//    binned into t0 periods and each closed period feeds the
+	//    agent's CUSUM.
+	pipe := &ingest.Pipeline{
+		Source:   ingest.NewTraceSource(mixed),
+		Detector: ingest.WrapAgent(agent),
+		T0:       agent.Config().T0,
+	}
+	if err := pipe.Run(); err != nil {
 		return err
 	}
 
-	// 4. Report.
+	// 5. Report.
 	fmt.Printf("\nprocessed %d observation periods (t0 = %v), K-bar = %.1f\n",
 		len(agent.Reports()), agent.Config().T0, agent.KBar())
 	al := agent.FirstAlarm()

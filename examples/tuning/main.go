@@ -25,6 +25,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cusum"
 	"repro/internal/experiment"
+	"repro/internal/ingest"
 	"repro/internal/trace"
 )
 
@@ -112,7 +113,11 @@ func estimateKBar(p trace.Profile) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if _, err := agent.ProcessTrace(tr); err != nil {
+	counts, err := tr.Aggregate(agent.Config().T0)
+	if err != nil {
+		return 0, err
+	}
+	if err := ingest.ReplayCounts(ingest.WrapAgent(agent), counts); err != nil {
 		return 0, err
 	}
 	return agent.KBar(), nil
@@ -131,7 +136,11 @@ func countFalseAlarms(p trace.Profile, a, n float64) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		if _, err := agent.ProcessTrace(tr); err != nil {
+		counts, err := tr.Aggregate(agent.Config().T0)
+		if err != nil {
+			return 0, err
+		}
+		if err := ingest.ReplayCounts(ingest.WrapAgent(agent), counts); err != nil {
 			return 0, err
 		}
 		if agent.Alarmed() {

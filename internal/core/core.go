@@ -23,7 +23,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"time"
 
@@ -31,7 +30,6 @@ import (
 	"repro/internal/eventsim"
 	"repro/internal/netsim"
 	"repro/internal/packet"
-	"repro/internal/trace"
 )
 
 // DefaultObservationPeriod is t0 from Section 3.1.
@@ -316,14 +314,18 @@ func (a *Agent) EndPeriod(now time.Duration) Report {
 // LoadPeriod closes one observation period from pre-aggregated counts:
 // both sniffers are loaded with the period's per-kind totals and
 // EndPeriod runs as usual. Because EndPeriod consumes only the drained
-// totals, this is bit-identical to Observing each record individually
-// (the ProcessCounts equivalence); the streaming ingest pipeline is
-// built on it.
+// totals, this is bit-identical to Observing each record individually;
+// every replay — the streaming ingest pipeline and the counts replay
+// alike — closes its periods through it.
 func (a *Agent) LoadPeriod(out, in PeriodCounts, end time.Duration) Report {
 	a.outbound.Load(out)
 	a.inbound.Load(in)
 	return a.EndPeriod(end)
 }
+
+// Grow reserves report capacity for n more periods, so a replay of
+// known length appends its reports without reallocating.
+func (a *Agent) Grow(n int) { a.reports = slices.Grow(a.reports, n) }
 
 // Reports returns all period reports so far. The returned slice is the
 // agent's own backing store; callers must not modify it.
@@ -387,119 +389,4 @@ func (a *Agent) Design() cusum.Design {
 		MinIncrease: 2 * a.cfg.Offset, // paper's h = 2a design rule
 		Threshold:   a.cfg.Threshold,
 	}
-}
-
-// ProcessTrace replays a recorded trace through the agent: every
-// record is counted, and a period boundary fires each T0. The trailing
-// partial period is discarded, mirroring trace.Aggregate. It returns
-// the agent's accumulated period reports.
-//
-// ProcessTrace is resume-aware: an agent restored from a snapshot
-// already holds len(Reports()) completed periods, so replay skips that
-// many leading periods of the trace — records inside them were counted
-// before the snapshot and must not be appended again. A fresh agent
-// has zero reports and replays from the start; an agent whose history
-// already covers the whole trace returns its reports unchanged.
-func (a *Agent) ProcessTrace(tr *trace.Trace) ([]Report, error) {
-	if tr.Span <= 0 {
-		return nil, errors.New("core: trace has no span")
-	}
-	if err := tr.Validate(); err != nil {
-		return nil, err
-	}
-	periods := int(tr.Span / a.cfg.T0)
-	if periods == 0 {
-		return nil, fmt.Errorf("core: trace span %v shorter than one period %v", tr.Span, a.cfg.T0)
-	}
-	done := len(a.reports) // resume offset: periods already reported
-	if done >= periods {
-		return a.reports, nil
-	}
-	resumed := a.cfg.T0 * time.Duration(done)
-	next := resumed + a.cfg.T0 // end of the current period
-	for _, r := range tr.Records {
-		if r.Ts < resumed {
-			continue // already counted before the snapshot
-		}
-		for r.Ts >= next && done < periods {
-			a.EndPeriod(next)
-			next += a.cfg.T0
-			done++
-		}
-		if done >= periods {
-			break
-		}
-		a.Observe(toNetsimDir(r.Dir), r.Kind)
-	}
-	for done < periods {
-		a.EndPeriod(next)
-		next += a.cfg.T0
-		done++
-	}
-	return a.reports, nil
-}
-
-// ProcessCounts drives the agent directly from per-period counts: for
-// each complete period it loads the sniffers with that period's
-// outgoing-SYN and incoming-SYN/ACK totals and closes the period. It
-// is the counts-level twin of ProcessTrace — for any trace tr,
-// ProcessCounts(tr.Aggregate(t0)) produces bit-identical reports to
-// ProcessTrace(tr), because EndPeriod consumes only the two totals and
-// both paths feed it the same numbers. Detection is non-parametric
-// (Eq. 1-4 see only per-period counts), so experiments that never need
-// individual records use this path at O(periods) instead of
-// O(records).
-//
-// Like ProcessTrace it is resume-aware: an agent restored from a
-// snapshot already holds len(Reports()) completed periods, and replay
-// skips that many leading periods of the counts.
-func (a *Agent) ProcessCounts(pc *trace.PeriodCounts) ([]Report, error) {
-	if pc == nil || pc.Periods() == 0 {
-		return nil, errors.New("core: no complete periods in counts")
-	}
-	if pc.T0 != a.cfg.T0 {
-		return nil, fmt.Errorf("core: counts period %v does not match agent period %v", pc.T0, a.cfg.T0)
-	}
-	if len(pc.InSYNACK) != len(pc.OutSYN) {
-		return nil, fmt.Errorf("core: period counts misaligned (%d SYN vs %d SYN/ACK periods)",
-			len(pc.OutSYN), len(pc.InSYNACK))
-	}
-	periods := pc.Periods()
-	done := len(a.reports) // resume offset: periods already reported
-	if done >= periods {
-		return a.reports, nil
-	}
-	a.reports = slices.Grow(a.reports, periods-done)
-	for ; done < periods; done++ {
-		out, err := countAsUint(pc.OutSYN[done])
-		if err != nil {
-			return nil, fmt.Errorf("core: OutSYN[%d]: %w", done, err)
-		}
-		in, err := countAsUint(pc.InSYNACK[done])
-		if err != nil {
-			return nil, fmt.Errorf("core: InSYNACK[%d]: %w", done, err)
-		}
-		a.outbound.Load(PeriodCounts{SYN: out})
-		a.inbound.Load(PeriodCounts{SYNACK: in})
-		a.EndPeriod(a.cfg.T0 * time.Duration(done+1))
-	}
-	return a.reports, nil
-}
-
-// countAsUint converts an aggregated packet count to the sniffer's
-// integer domain. Aggregated counts are tallies, so anything negative,
-// fractional, non-finite, or beyond float64's exact-integer range is a
-// corrupted input, not a count.
-func countAsUint(v float64) (uint64, error) {
-	if !(v >= 0) || v != math.Trunc(v) || v > 1<<53 {
-		return 0, fmt.Errorf("invalid period count %v", v)
-	}
-	return uint64(v), nil
-}
-
-func toNetsimDir(d trace.Direction) netsim.Direction {
-	if d == trace.DirOut {
-		return netsim.Outbound
-	}
-	return netsim.Inbound
 }

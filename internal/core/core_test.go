@@ -9,7 +9,6 @@ import (
 	"repro/internal/eventsim"
 	"repro/internal/netsim"
 	"repro/internal/packet"
-	"repro/internal/trace"
 )
 
 func TestNewAgentDefaults(t *testing.T) {
@@ -249,107 +248,6 @@ func TestDesignUsesPaperRule(t *testing.T) {
 	}
 }
 
-func TestProcessTraceCountsOnlyRelevantRecords(t *testing.T) {
-	inside := netip.MustParseAddr("152.2.0.1")
-	outside := netip.MustParseAddr("11.0.0.1")
-	mk := func(ts time.Duration, kind packet.Kind, dir trace.Direction) trace.Record {
-		return trace.Record{Ts: ts, Kind: kind, Dir: dir, Src: inside, Dst: outside}
-	}
-	tr := &trace.Trace{Name: "t", Span: time.Minute, Records: []trace.Record{
-		mk(time.Second, packet.KindSYN, trace.DirOut),
-		mk(2*time.Second, packet.KindSYN, trace.DirOut),
-		mk(3*time.Second, packet.KindSYNACK, trace.DirIn),
-		mk(4*time.Second, packet.KindSYN, trace.DirIn),     // inbound SYN: not counted
-		mk(5*time.Second, packet.KindSYNACK, trace.DirOut), // outbound SYN/ACK: not counted
-		mk(25*time.Second, packet.KindSYN, trace.DirOut),
-		mk(45*time.Second, packet.KindSYNACK, trace.DirIn),
-	}}
-	a, _ := NewAgent(Config{})
-	reports, err := a.ProcessTrace(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reports) != 3 {
-		t.Fatalf("reports = %d, want 3", len(reports))
-	}
-	if reports[0].OutSYN != 2 || reports[0].InSYNACK != 1 {
-		t.Errorf("period 0 = %d/%d, want 2/1", reports[0].OutSYN, reports[0].InSYNACK)
-	}
-	if reports[1].OutSYN != 1 || reports[1].InSYNACK != 0 {
-		t.Errorf("period 1 = %d/%d, want 1/0", reports[1].OutSYN, reports[1].InSYNACK)
-	}
-	if reports[2].OutSYN != 0 || reports[2].InSYNACK != 1 {
-		t.Errorf("period 2 = %d/%d, want 0/1", reports[2].OutSYN, reports[2].InSYNACK)
-	}
-}
-
-func TestProcessTraceMatchesAggregate(t *testing.T) {
-	p := trace.Auckland()
-	p.Span = 10 * time.Minute
-	tr, err := trace.Generate(p, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, _ := NewAgent(Config{})
-	reports, err := a.ProcessTrace(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pc, err := tr.Aggregate(20 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reports) != pc.Periods() {
-		t.Fatalf("periods: agent %d vs aggregate %d", len(reports), pc.Periods())
-	}
-	for i, r := range reports {
-		if float64(r.OutSYN) != pc.OutSYN[i] {
-			t.Errorf("period %d OutSYN: agent %d vs aggregate %v", i, r.OutSYN, pc.OutSYN[i])
-		}
-		if float64(r.InSYNACK) != pc.InSYNACK[i] {
-			t.Errorf("period %d InSYNACK: agent %d vs aggregate %v", i, r.InSYNACK, pc.InSYNACK[i])
-		}
-	}
-}
-
-func TestProcessTraceValidation(t *testing.T) {
-	a, _ := NewAgent(Config{})
-	if _, err := a.ProcessTrace(&trace.Trace{}); err == nil {
-		t.Error("spanless trace accepted")
-	}
-	if _, err := a.ProcessTrace(&trace.Trace{Span: time.Second}); err == nil {
-		t.Error("too-short trace accepted")
-	}
-	bad := &trace.Trace{Span: time.Minute, Records: []trace.Record{
-		{Ts: 5 * time.Second}, {Ts: time.Second},
-	}}
-	if _, err := a.ProcessTrace(bad); err == nil {
-		t.Error("unsorted trace accepted")
-	}
-}
-
-func TestNoFalseAlarmOnGeneratedTraces(t *testing.T) {
-	// Figure 5's claim: on normal background traffic yn is mostly zero
-	// and never approaches N = 1.05, so no false alarms.
-	for _, p := range trace.Profiles() {
-		p := p
-		t.Run(p.Name, func(t *testing.T) {
-			p.Span = 10 * time.Minute
-			tr, err := trace.Generate(p, 23)
-			if err != nil {
-				t.Fatal(err)
-			}
-			a, _ := NewAgent(Config{})
-			if _, err := a.ProcessTrace(tr); err != nil {
-				t.Fatal(err)
-			}
-			if a.Alarmed() {
-				t.Errorf("%s: false alarm on normal traffic", p.Name)
-			}
-		})
-	}
-}
-
 func TestInstallOnRouterDetectsSimulatedFlood(t *testing.T) {
 	// Full integration: event-driven leaf router, benign hosts priming
 	// K̄, then a flooder inside the stub spraying spoofed SYNs.
@@ -419,91 +317,6 @@ func TestInstallOnRouterDetectsSimulatedFlood(t *testing.T) {
 	al := agent.FirstAlarm()
 	if al.At < 10*time.Second || al.At > 20*time.Second {
 		t.Errorf("alarm at %v, want shortly after flood onset at 10s", al.At)
-	}
-}
-
-// truncateTrace returns the prefix of tr before span — what an agent
-// saw of the trace when it stopped at that point.
-func truncateTrace(tr *trace.Trace, span time.Duration) *trace.Trace {
-	out := &trace.Trace{Name: tr.Name, Span: span}
-	for _, r := range tr.Records {
-		if r.Ts < span {
-			out.Records = append(out.Records, r)
-		}
-	}
-	return out
-}
-
-// TestProcessTraceResumeEquivalence pins the resume contract: snapshot
-// after k periods, restore, finish the full trace — the report series,
-// alarm and K-bar must match a single uninterrupted run exactly.
-func TestProcessTraceResumeEquivalence(t *testing.T) {
-	p := trace.Auckland()
-	p.Span = 10 * time.Minute
-	tr, err := trace.Generate(p, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ref, _ := NewAgent(Config{})
-	want, err := ref.ProcessTrace(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, k := range []int{0, 1, 13, 29, 30} {
-		a1, _ := NewAgent(Config{})
-		if k > 0 {
-			if _, err := a1.ProcessTrace(truncateTrace(tr, time.Duration(k)*20*time.Second)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		a2, err := RestoreAgent(a1.Snapshot())
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := a2.ProcessTrace(tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("k=%d: %d reports, want %d", k, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Errorf("k=%d: report %d = %+v, want %+v", k, i, got[i], want[i])
-			}
-		}
-		if a2.KBar() != ref.KBar() {
-			t.Errorf("k=%d: K-bar %v, want %v", k, a2.KBar(), ref.KBar())
-		}
-		if a2.Alarmed() != ref.Alarmed() {
-			t.Errorf("k=%d: alarmed %v, want %v", k, a2.Alarmed(), ref.Alarmed())
-		}
-	}
-}
-
-// TestProcessTraceFullHistoryIsNoop: an agent whose history already
-// covers the trace must not append anything on a second replay.
-func TestProcessTraceFullHistoryIsNoop(t *testing.T) {
-	p := trace.Auckland()
-	p.Span = 4 * time.Minute
-	tr, err := trace.Generate(p, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, _ := NewAgent(Config{})
-	first, err := a.ProcessTrace(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := len(first)
-	again, err := a.ProcessTrace(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(again) != n {
-		t.Errorf("second replay grew reports %d -> %d (double count)", n, len(again))
 	}
 }
 

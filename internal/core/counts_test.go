@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"bytes"
@@ -6,11 +6,12 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/packet"
 	"repro/internal/trace"
 )
 
-// TestProcessCountsMatchesProcessTrace pins the fast path's core
+// TestProcessCountsMatchesProcessTrace pins the counts replay's core
 // contract on every site profile: aggregating a trace and replaying
 // the counts produces exactly the reports a record-level replay does.
 func TestProcessCountsMatchesProcessTrace(t *testing.T) {
@@ -22,8 +23,8 @@ func TestProcessCountsMatchesProcessTrace(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, _ := NewAgent(Config{})
-			want, err := ref.ProcessTrace(tr)
+			ref := newAgent(t, core.Config{})
+			want, err := processTrace(ref, tr)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -31,19 +32,12 @@ func TestProcessCountsMatchesProcessTrace(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fast, _ := NewAgent(Config{})
-			got, err := fast.ProcessCounts(pc)
+			fast := newAgent(t, core.Config{})
+			got, err := processCounts(fast, pc)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(got) != len(want) {
-				t.Fatalf("%d reports, want %d", len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Errorf("report %d = %+v, want %+v", i, got[i], want[i])
-				}
-			}
+			compareReports(t, got, want)
 			if fast.KBar() != ref.KBar() || fast.Alarmed() != ref.Alarmed() {
 				t.Errorf("final state (K=%v alarmed=%v), want (K=%v alarmed=%v)",
 					fast.KBar(), fast.Alarmed(), ref.KBar(), ref.Alarmed())
@@ -52,9 +46,27 @@ func TestProcessCountsMatchesProcessTrace(t *testing.T) {
 	}
 }
 
+// lastMileRecords maps a victim-side trace onto the pairing the agent
+// counts: incoming SYNs (openings) become outgoing SYNs and outgoing
+// FINs/RSTs (closings) become incoming SYN/ACKs; everything else is
+// dropped. Replaying the result record by record is the reference the
+// AggregateLastMile counts are pinned against.
+func lastMileRecords(tr *trace.Trace) *trace.Trace {
+	out := &trace.Trace{Name: tr.Name + "-lastmile", Span: tr.Span}
+	for _, r := range tr.Records {
+		switch {
+		case r.Dir == trace.DirIn && r.Kind == packet.KindSYN:
+			out.Records = append(out.Records, trace.Record{Ts: r.Ts, Kind: packet.KindSYN, Dir: trace.DirOut})
+		case r.Dir == trace.DirOut && (r.Kind == packet.KindFIN || r.Kind == packet.KindRST):
+			out.Records = append(out.Records, trace.Record{Ts: r.Ts, Kind: packet.KindSYNACK, Dir: trace.DirIn})
+		}
+	}
+	return out
+}
+
 // TestLastMileProcessCountsMatchesProcessTrace does the same for the
-// victim-side pairing: AggregateLastMile + ProcessCounts equals a
-// record-level ProcessTrace replay.
+// victim-side pairing: AggregateLastMile counts replayed into an agent
+// equal a record-level replay of the openings and closings.
 func TestLastMileProcessCountsMatchesProcessTrace(t *testing.T) {
 	p := trace.Auckland()
 	p.Span = 10 * time.Minute
@@ -64,44 +76,30 @@ func TestLastMileProcessCountsMatchesProcessTrace(t *testing.T) {
 	}
 	victim := bg.Flip()
 
-	ref, err := NewLastMileAgent(Config{WarmupPeriods: 3})
+	cfg := core.Config{WarmupPeriods: 3}
+	want, err := processTrace(newAgent(t, cfg), lastMileRecords(victim))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ref.ProcessTrace(victim)
+	pc, err := victim.AggregateLastMile(core.DefaultObservationPeriod)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pc, err := victim.AggregateLastMile(DefaultObservationPeriod)
+	got, err := processCounts(newAgent(t, cfg), pc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := NewLastMileAgent(Config{WarmupPeriods: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := fast.ProcessCounts(pc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("%d reports, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Errorf("report %d = %+v, want %+v", i, got[i], want[i])
-		}
-	}
+	compareReports(t, got, want)
 }
 
 // truncateCounts returns the first k periods of pc, sharing storage
-// (ProcessCounts never mutates its input).
+// (the counts replay never mutates its input).
 func truncateCounts(pc *trace.PeriodCounts, k int) *trace.PeriodCounts {
 	return &trace.PeriodCounts{T0: pc.T0, OutSYN: pc.OutSYN[:k], InSYNACK: pc.InSYNACK[:k]}
 }
 
 // TestProcessCountsResumeEquivalence is the property test behind the
-// daemon's resume story on the fast path: snapshot after a random
+// daemon's resume story on the counts replay: snapshot after a random
 // number of periods, restore, finish from the full counts — the final
 // serialized snapshot must be byte-identical to an uninterrupted run's.
 func TestProcessCountsResumeEquivalence(t *testing.T) {
@@ -113,13 +111,13 @@ func TestProcessCountsResumeEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pc, err := tr.Aggregate(DefaultObservationPeriod)
+		pc, err := tr.Aggregate(core.DefaultObservationPeriod)
 		if err != nil {
 			t.Fatal(err)
 		}
 
-		ref, _ := NewAgent(Config{})
-		if _, err := ref.ProcessCounts(pc); err != nil {
+		ref := newAgent(t, core.Config{})
+		if _, err := processCounts(ref, pc); err != nil {
 			t.Fatal(err)
 		}
 		var want bytes.Buffer
@@ -128,17 +126,17 @@ func TestProcessCountsResumeEquivalence(t *testing.T) {
 		}
 
 		k := rng.Intn(pc.Periods() + 1)
-		a1, _ := NewAgent(Config{})
+		a1 := newAgent(t, core.Config{})
 		if k > 0 {
-			if _, err := a1.ProcessCounts(truncateCounts(pc, k)); err != nil {
+			if _, err := processCounts(a1, truncateCounts(pc, k)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		a2, err := RestoreAgent(a1.Snapshot())
+		a2, err := core.RestoreAgent(a1.Snapshot())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := a2.ProcessCounts(pc); err != nil {
+		if _, err := processCounts(a2, pc); err != nil {
 			t.Fatal(err)
 		}
 		var got bytes.Buffer
@@ -152,8 +150,8 @@ func TestProcessCountsResumeEquivalence(t *testing.T) {
 	}
 }
 
-// TestProcessCountsMixedResume crosses the two paths mid-stream: half
-// the trace record by record, snapshot, then the rest from counts.
+// TestProcessCountsMixedResume crosses the two replays mid-stream:
+// half the trace record by record, snapshot, then the rest from counts.
 func TestProcessCountsMixedResume(t *testing.T) {
 	p := trace.Auckland()
 	p.Span = 8 * time.Minute
@@ -161,37 +159,29 @@ func TestProcessCountsMixedResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pc, err := tr.Aggregate(DefaultObservationPeriod)
+	pc, err := tr.Aggregate(core.DefaultObservationPeriod)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, _ := NewAgent(Config{})
-	want, err := ref.ProcessCounts(pc)
+	want, err := processCounts(newAgent(t, core.Config{}), pc)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	half := time.Duration(pc.Periods()/2) * DefaultObservationPeriod
-	a1, _ := NewAgent(Config{})
-	if _, err := a1.ProcessTrace(truncateTrace(tr, half)); err != nil {
+	half := time.Duration(pc.Periods()/2) * core.DefaultObservationPeriod
+	a1 := newAgent(t, core.Config{})
+	if _, err := processTrace(a1, truncateTrace(tr, half)); err != nil {
 		t.Fatal(err)
 	}
-	a2, err := RestoreAgent(a1.Snapshot())
+	a2, err := core.RestoreAgent(a1.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := a2.ProcessCounts(pc)
+	got, err := processCounts(a2, pc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("%d reports, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Errorf("report %d = %+v, want %+v", i, got[i], want[i])
-		}
-	}
+	compareReports(t, got, want)
 }
 
 func TestProcessCountsFullHistoryIsNoop(t *testing.T) {
@@ -201,17 +191,17 @@ func TestProcessCountsFullHistoryIsNoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pc, err := tr.Aggregate(DefaultObservationPeriod)
+	pc, err := tr.Aggregate(core.DefaultObservationPeriod)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _ := NewAgent(Config{})
-	first, err := a.ProcessCounts(pc)
+	a := newAgent(t, core.Config{})
+	first, err := processCounts(a, pc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	n := len(first)
-	again, err := a.ProcessCounts(pc)
+	again, err := processCounts(a, pc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,26 +211,26 @@ func TestProcessCountsFullHistoryIsNoop(t *testing.T) {
 }
 
 func TestProcessCountsValidation(t *testing.T) {
-	a, _ := NewAgent(Config{})
-	if _, err := a.ProcessCounts(nil); err == nil {
+	a := newAgent(t, core.Config{})
+	if _, err := processCounts(a, nil); err == nil {
 		t.Error("nil counts accepted")
 	}
-	if _, err := a.ProcessCounts(&trace.PeriodCounts{T0: DefaultObservationPeriod}); err == nil {
+	if _, err := processCounts(a, &trace.PeriodCounts{T0: core.DefaultObservationPeriod}); err == nil {
 		t.Error("empty counts accepted")
 	}
-	if _, err := a.ProcessCounts(&trace.PeriodCounts{
+	if _, err := processCounts(a, &trace.PeriodCounts{
 		T0: time.Second, OutSYN: []float64{1}, InSYNACK: []float64{1},
 	}); err == nil {
 		t.Error("mismatched T0 accepted")
 	}
-	if _, err := a.ProcessCounts(&trace.PeriodCounts{
-		T0: DefaultObservationPeriod, OutSYN: []float64{1, 2}, InSYNACK: []float64{1},
+	if _, err := processCounts(a, &trace.PeriodCounts{
+		T0: core.DefaultObservationPeriod, OutSYN: []float64{1, 2}, InSYNACK: []float64{1},
 	}); err == nil {
 		t.Error("misaligned slices accepted")
 	}
 	for _, bad := range []float64{-1, 0.5, 1 << 60} {
-		if _, err := a.ProcessCounts(&trace.PeriodCounts{
-			T0: DefaultObservationPeriod, OutSYN: []float64{bad}, InSYNACK: []float64{0},
+		if _, err := processCounts(a, &trace.PeriodCounts{
+			T0: core.DefaultObservationPeriod, OutSYN: []float64{bad}, InSYNACK: []float64{0},
 		}); err == nil {
 			t.Errorf("non-count OutSYN %v accepted", bad)
 		}
@@ -255,14 +245,14 @@ func TestProcessCountsValidation(t *testing.T) {
 // freshly constructed one — reports, final state and serialized
 // snapshot alike.
 func TestRestartMatchesFresh(t *testing.T) {
-	for _, cfg := range []Config{{}, {WarmupPeriods: 3, Alpha: 0.8}} {
+	for _, cfg := range []core.Config{{}, {WarmupPeriods: 3, Alpha: 0.8}} {
 		p := trace.UNC()
 		p.Span = 8 * time.Minute
 		first, err := trace.Generate(p, 61)
 		if err != nil {
 			t.Fatal(err)
 		}
-		firstPC, err := first.Aggregate(DefaultObservationPeriod)
+		firstPC, err := first.Aggregate(core.DefaultObservationPeriod)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -277,37 +267,30 @@ func TestRestartMatchesFresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		secondPC, err := second.Aggregate(DefaultObservationPeriod)
+		secondPC, err := second.Aggregate(core.DefaultObservationPeriod)
 		if err != nil {
 			t.Fatal(err)
 		}
 
-		reused, _ := NewAgent(cfg)
-		if _, err := reused.ProcessCounts(firstPC); err != nil {
+		reused := newAgent(t, cfg)
+		if _, err := processCounts(reused, firstPC); err != nil {
 			t.Fatal(err)
 		}
 		if !reused.Alarmed() {
 			t.Fatal("first run did not alarm; Restart not exercised")
 		}
 		reused.Restart()
-		got, err := reused.ProcessCounts(secondPC)
+		got, err := processCounts(reused, secondPC)
 		if err != nil {
 			t.Fatal(err)
 		}
 
-		fresh, _ := NewAgent(cfg)
-		want, err := fresh.ProcessCounts(secondPC)
+		fresh := newAgent(t, cfg)
+		want, err := processCounts(fresh, secondPC)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("%d reports, want %d", len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Errorf("report %d = %+v, want %+v", i, got[i], want[i])
-			}
-		}
+		compareReports(t, got, want)
 		var gotSnap, wantSnap bytes.Buffer
 		if err := reused.WriteSnapshot(&gotSnap); err != nil {
 			t.Fatal(err)
@@ -323,9 +306,11 @@ func TestRestartMatchesFresh(t *testing.T) {
 
 // FuzzProcessCountsMatchesProcessTrace hammers the equivalence with
 // arbitrary record streams: whatever trace the fuzzer builds, the
-// aggregate-then-count path must replay it identically to the
-// record-level path, including records landing exactly on period
-// boundaries.
+// record pipeline must replay it exactly as the counts replay of
+// tr.Aggregate does — and, for the victim-side pairing, the pipeline
+// over the mapped openings/closings exactly as the counts replay of
+// tr.AggregateLastMile does — including records landing exactly on
+// period boundaries.
 func FuzzProcessCountsMatchesProcessTrace(f *testing.F) {
 	f.Add(uint8(3), []byte{0x00, 0x21, 0x9f, 0x44, 0xe2})
 	f.Add(uint8(1), []byte{0xff, 0xff})
@@ -333,7 +318,7 @@ func FuzzProcessCountsMatchesProcessTrace(f *testing.F) {
 	f.Fuzz(func(t *testing.T, nPeriods uint8, data []byte) {
 		t0 := time.Second
 		span := time.Duration(int(nPeriods%20)+1) * t0
-		kinds := [4]packet.Kind{packet.KindSYN, packet.KindSYNACK, packet.KindFIN, packet.KindOther}
+		kinds := [4]packet.Kind{packet.KindSYN, packet.KindSYNACK, packet.KindFIN, packet.KindRST}
 		var recs []trace.Record
 		ts := time.Duration(0)
 		for _, b := range data {
@@ -351,32 +336,35 @@ func FuzzProcessCountsMatchesProcessTrace(f *testing.F) {
 			recs = append(recs, trace.Record{Ts: ts, Kind: kinds[(b>>5)&3], Dir: dir})
 		}
 		tr := &trace.Trace{Name: "fuzz", Span: span, Records: recs}
+		cfg := core.Config{T0: t0}
 
-		ref, _ := NewAgent(Config{T0: t0})
-		want, err := ref.ProcessTrace(tr)
-		if err != nil {
-			t.Fatalf("ProcessTrace: %v", err)
-		}
-		pc, err := tr.Aggregate(t0)
-		if err != nil {
-			t.Fatalf("Aggregate: %v", err)
-		}
-		fast, _ := NewAgent(Config{T0: t0})
-		got, err := fast.ProcessCounts(pc)
-		if err != nil {
-			t.Fatalf("ProcessCounts: %v", err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("%d reports, want %d", len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("report %d = %+v, want %+v", i, got[i], want[i])
+		for _, pairing := range []struct {
+			name      string
+			records   *trace.Trace
+			aggregate func(time.Duration) (*trace.PeriodCounts, error)
+		}{
+			{"first-mile", tr, tr.Aggregate},
+			{"last-mile", lastMileRecords(tr), tr.AggregateLastMile},
+		} {
+			ref := newAgent(t, cfg)
+			want, err := processTrace(ref, pairing.records)
+			if err != nil {
+				t.Fatalf("%s pipeline: %v", pairing.name, err)
 			}
-		}
-		if fast.KBar() != ref.KBar() || fast.Alarmed() != ref.Alarmed() {
-			t.Fatalf("final state diverged: (K=%v alarmed=%v) vs (K=%v alarmed=%v)",
-				fast.KBar(), fast.Alarmed(), ref.KBar(), ref.Alarmed())
+			pc, err := pairing.aggregate(t0)
+			if err != nil {
+				t.Fatalf("%s aggregate: %v", pairing.name, err)
+			}
+			fast := newAgent(t, cfg)
+			got, err := processCounts(fast, pc)
+			if err != nil {
+				t.Fatalf("%s counts replay: %v", pairing.name, err)
+			}
+			compareReports(t, got, want)
+			if fast.KBar() != ref.KBar() || fast.Alarmed() != ref.Alarmed() {
+				t.Fatalf("%s: final state diverged: (K=%v alarmed=%v) vs (K=%v alarmed=%v)",
+					pairing.name, fast.KBar(), fast.Alarmed(), ref.KBar(), ref.Alarmed())
+			}
 		}
 	})
 }

@@ -1,14 +1,18 @@
-package core
+package core_test
 
 import (
 	"net/netip"
 	"testing"
 	"time"
 
-	"repro/internal/netsim"
+	"repro/internal/core"
 	"repro/internal/packet"
 	"repro/internal/trace"
 )
+
+// The last-mile deployment is a plain agent fed the victim-side
+// pairing trace.AggregateLastMile bins: connection openings (incoming
+// SYNs) against closings (outgoing FINs and RSTs).
 
 var (
 	victimAddr = netip.MustParseAddr("10.9.0.1")
@@ -46,62 +50,56 @@ func buildVictimTrace() *trace.Trace {
 	return tr
 }
 
-func shortTrace() *trace.Trace {
-	return &trace.Trace{Name: "short", Span: time.Second}
+// processLastMile bins a victim-side trace into openings/closings and
+// replays the counts into a.
+func processLastMile(a *core.Agent, tr *trace.Trace) ([]core.Report, error) {
+	pc, err := tr.AggregateLastMile(a.Config().T0)
+	if err != nil {
+		return nil, err
+	}
+	return processCounts(a, pc)
 }
 
-// feedVictimPeriods drives the last-mile agent with per-period
-// (inboundSYN, outboundFIN) pairs.
-func feedVictimPeriods(l *LastMileAgent, pairs [][2]uint64) Report {
-	var last Report
-	for i, p := range pairs {
-		for j := uint64(0); j < p[0]; j++ {
-			l.Observe(netsim.Inbound, packet.KindSYN)
-		}
-		for j := uint64(0); j < p[1]; j++ {
-			l.Observe(netsim.Outbound, packet.KindFIN)
-		}
-		last = l.EndPeriod(time.Duration(i+1) * 20 * time.Second)
+// feedVictimPeriods closes one period per (opening, closing) pair.
+func feedVictimPeriods(a *core.Agent, pairs [][2]uint64) {
+	for _, p := range pairs {
+		end := time.Duration(len(a.Reports())+1) * a.Config().T0
+		a.LoadPeriod(core.PeriodCounts{SYN: p[0]}, core.PeriodCounts{SYNACK: p[1]}, end)
 	}
-	return last
 }
 
 func TestLastMileNormalOperationQuiet(t *testing.T) {
-	l, err := NewLastMileAgent(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := newAgent(t, core.Config{})
 	pairs := make([][2]uint64, 40)
 	for i := range pairs {
 		pairs[i] = [2]uint64{105, 100} // opens slightly lead closes
 	}
-	feedVictimPeriods(l, pairs)
-	if l.Alarmed() {
+	feedVictimPeriods(a, pairs)
+	if a.Alarmed() {
 		t.Fatal("false alarm on balanced open/close traffic")
 	}
-	if l.KBar() < 99 || l.KBar() > 101 {
-		t.Errorf("K̄ = %v, want ≈100", l.KBar())
+	if a.KBar() < 99 || a.KBar() > 101 {
+		t.Errorf("K̄ = %v, want ≈100", a.KBar())
 	}
 }
 
 func TestLastMileDetectsAggregateFlood(t *testing.T) {
-	l, _ := NewLastMileAgent(Config{})
+	a := newAgent(t, core.Config{})
 	benign := make([][2]uint64, 10)
 	for i := range benign {
 		benign[i] = [2]uint64{100, 100}
 	}
-	feedVictimPeriods(l, benign)
+	feedVictimPeriods(a, benign)
 	// Aggregate DDoS: +200 inbound SYNs per period never close.
 	flood := make([][2]uint64, 5)
 	for i := range flood {
 		flood[i] = [2]uint64{300, 100}
 	}
-	feedVictimPeriods(l, flood)
-	if !l.Alarmed() {
+	feedVictimPeriods(a, flood)
+	if !a.Alarmed() {
 		t.Fatal("aggregate flood not detected at the last mile")
 	}
-	al := l.FirstAlarm()
-	if al.Period < 10 {
+	if al := a.FirstAlarm(); al.Period < 10 {
 		t.Errorf("alarm period %d precedes the flood", al.Period)
 	}
 }
@@ -109,35 +107,50 @@ func TestLastMileDetectsAggregateFlood(t *testing.T) {
 func TestLastMileCountsRSTsAsCloses(t *testing.T) {
 	// Reset-heavy benign traffic (e.g. crawlers aborting) must not
 	// accumulate: RSTs close connections too.
-	l, _ := NewLastMileAgent(Config{})
+	tr := &trace.Trace{Name: "resets", Span: 30 * 20 * time.Second}
 	for i := 0; i < 30; i++ {
-		for j := 0; j < 100; j++ {
-			l.Observe(netsim.Inbound, packet.KindSYN)
+		start := time.Duration(i) * 20 * time.Second
+		add := func(n int, kind packet.Kind, dir trace.Direction) {
+			for j := 0; j < n; j++ {
+				tr.Records = append(tr.Records, trace.Record{
+					Ts: start + time.Duration(j)*10*time.Millisecond, Kind: kind, Dir: dir,
+				})
+			}
 		}
-		for j := 0; j < 60; j++ {
-			l.Observe(netsim.Outbound, packet.KindFIN)
-		}
-		for j := 0; j < 40; j++ {
-			l.Observe(netsim.Outbound, packet.KindRST)
-		}
-		l.EndPeriod(time.Duration(i+1) * 20 * time.Second)
+		add(100, packet.KindSYN, trace.DirIn)
+		add(60, packet.KindFIN, trace.DirOut)
+		add(40, packet.KindRST, trace.DirOut)
 	}
-	if l.Alarmed() {
+	tr.Sort()
+	a := newAgent(t, core.Config{})
+	reports, err := processLastMile(a, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reports[0].InSYNACK != 100 {
+		t.Errorf("period 0 closings = %d, want 100 (60 FIN + 40 RST)", reports[0].InSYNACK)
+	}
+	if a.Alarmed() {
 		t.Error("RST-closing traffic false-alarmed")
 	}
 }
 
 func TestLastMileIgnoresIrrelevantKinds(t *testing.T) {
-	l, _ := NewLastMileAgent(Config{})
-	// Outbound SYNs (victim's own clients) and inbound FINs must not
-	// feed the detector's counters.
+	// Outbound SYNs (victim's own clients), inbound FINs and SYN/ACKs
+	// must not feed the detector's counters.
+	tr := &trace.Trace{Name: "irrelevant", Span: 20 * time.Second}
 	for j := 0; j < 500; j++ {
-		l.Observe(netsim.Outbound, packet.KindSYN)
-		l.Observe(netsim.Inbound, packet.KindFIN)
-		l.Observe(netsim.Inbound, packet.KindSYNACK)
+		ts := time.Duration(j) * 10 * time.Millisecond
+		tr.Records = append(tr.Records,
+			trace.Record{Ts: ts, Kind: packet.KindSYN, Dir: trace.DirOut},
+			trace.Record{Ts: ts, Kind: packet.KindFIN, Dir: trace.DirIn},
+			trace.Record{Ts: ts, Kind: packet.KindSYNACK, Dir: trace.DirIn})
 	}
-	r := l.EndPeriod(20 * time.Second)
-	if r.OutSYN != 0 || r.InSYNACK != 0 {
+	reports, err := processLastMile(newAgent(t, core.Config{}), tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := reports[0]; r.OutSYN != 0 || r.InSYNACK != 0 {
 		t.Errorf("irrelevant kinds counted: %+v", r)
 	}
 }
@@ -145,38 +158,25 @@ func TestLastMileIgnoresIrrelevantKinds(t *testing.T) {
 func TestLastMileProcessTrace(t *testing.T) {
 	// A victim-side trace: inbound SYNs at 2/s, outbound FINs at 2/s
 	// for 5 minutes, then a flood of inbound SYNs with no FINs.
-	tr := buildVictimTrace()
-	l, _ := NewLastMileAgent(Config{})
-	reports, err := l.ProcessTrace(tr)
+	a := newAgent(t, core.Config{})
+	reports, err := processLastMile(a, buildVictimTrace())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(reports) != 30 {
 		t.Fatalf("periods = %d, want 30", len(reports))
 	}
-	if !l.Alarmed() {
+	if !a.Alarmed() {
 		t.Fatal("trace-driven last-mile detection failed")
 	}
-	if al := l.FirstAlarm(); al.Period < 15 {
+	if al := a.FirstAlarm(); al.Period < 15 {
 		t.Errorf("alarm period %d precedes flood onset period 15", al.Period)
 	}
 }
 
 func TestLastMileProcessTraceValidation(t *testing.T) {
-	l, _ := NewLastMileAgent(Config{})
-	if _, err := l.ProcessTrace(shortTrace()); err == nil {
+	if _, err := processLastMile(newAgent(t, core.Config{}), &trace.Trace{Name: "short", Span: time.Second}); err == nil {
 		t.Error("too-short trace accepted")
-	}
-}
-
-func TestLastMileTap(t *testing.T) {
-	l, _ := NewLastMileAgent(Config{})
-	tap := l.Tap()
-	seg := packet.Build(clientAddr, victimAddr, 50000, 80, 1, 0, packet.FlagSYN)
-	tap(0, netsim.Inbound, &seg)
-	r := l.EndPeriod(20 * time.Second)
-	if r.OutSYN != 1 {
-		t.Errorf("tap did not count inbound SYN as opening: %+v", r)
 	}
 }
 
@@ -190,16 +190,15 @@ func TestFlippedFloodFeedsLastMile(t *testing.T) {
 			Dir: trace.DirOut, Src: clientAddr, Dst: victimAddr, DstPort: 80,
 		})
 	}
-	flipped := src.Flip()
-	l, _ := NewLastMileAgent(Config{})
-	reports, err := l.ProcessTrace(flipped)
+	a := newAgent(t, core.Config{})
+	reports, err := processLastMile(a, src.Flip())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if reports[0].OutSYN == 0 {
 		t.Error("flipped flood not counted as openings")
 	}
-	if !l.Alarmed() {
+	if !a.Alarmed() {
 		t.Error("unanswered flood did not alarm the last mile")
 	}
 }
@@ -209,30 +208,22 @@ func TestFlippedFloodFeedsLastMile(t *testing.T) {
 // the remainder of the trace.
 func TestLastMileResumeSkipsReportedPeriods(t *testing.T) {
 	tr := buildVictimTrace()
-	ref, _ := NewLastMileAgent(Config{})
-	want, err := ref.ProcessTrace(tr)
+	want, err := processLastMile(newAgent(t, core.Config{}), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	const k = 12
-	l1, _ := NewLastMileAgent(Config{})
-	if _, err := l1.ProcessTrace(truncateTrace(tr, k*20*time.Second)); err != nil {
+	a := newAgent(t, core.Config{})
+	if _, err := processLastMile(a, truncateTrace(tr, k*20*time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(l1.Reports()); got != k {
+	if got := len(a.Reports()); got != k {
 		t.Fatalf("partial run = %d periods, want %d", got, k)
 	}
-	got, err := l1.ProcessTrace(tr)
+	got, err := processLastMile(a, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("resumed run = %d periods, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Errorf("report %d = %+v, want %+v", i, got[i], want[i])
-		}
-	}
+	compareReports(t, got, want)
 }

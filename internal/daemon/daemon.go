@@ -324,15 +324,13 @@ func (d *Daemon) replay(ctx context.Context, speed float64) error {
 	}
 	agg.SetTap(tap)
 
-	// Chunked lookahead over the source: records land in an arena chunk
-	// and buf[pos:n] is the unconsumed window. The paced loop cuts each
+	// Chunked lookahead over the source: records land in one chunk
+	// buffer and buf[pos:n] is the unconsumed window. The paced loop cuts each
 	// chunk at the period boundary, so a period closes at its wall-clock
 	// deadline without consuming the first record of the following one —
 	// the batch generalization of the old one-record peek.
 	bs := ingest.AsBatch(d.src)
-	arena := ingest.NewArena(0)
-	buf := arena.Get()
-	defer arena.Put(buf)
+	buf := make([]trace.Record, ingest.DefaultChunk)
 	var (
 		pos, n  int
 		srcDone bool
@@ -482,9 +480,7 @@ func (d *Daemon) replayLive(ctx context.Context) error {
 	defer stopClose()
 
 	bs := ingest.AsBatch(d.src)
-	arena := ingest.NewArena(0)
-	buf := arena.Get()
-	defer arena.Put(buf)
+	buf := make([]trace.Record, ingest.DefaultChunk)
 	for {
 		n, err := bs.NextBatch(buf)
 		if n > 0 {

@@ -79,6 +79,16 @@ func truncated(tr *trace.Trace, span time.Duration) *trace.Trace {
 	return out
 }
 
+// replayTrace streams tr through a plain ingest pipeline into agent —
+// the record-level reference the daemon's replay is checked against.
+func replayTrace(t *testing.T, agent *core.Agent, tr *trace.Trace) {
+	t.Helper()
+	p := &ingest.Pipeline{Source: ingest.NewTraceSource(tr), Detector: ingest.WrapAgent(agent), T0: agent.Config().T0}
+	if err := p.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // get fetches path from the daemon's handler and returns the body.
 func get(t *testing.T, d *Daemon, path string) (int, string) {
 	t.Helper()
@@ -121,9 +131,7 @@ func TestNewValidates(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := testTrace(t, false)
-	if _, err := long.ProcessTrace(tr); err != nil {
-		t.Fatal(err)
-	}
+	replayTrace(t, long, tr)
 	shortTr := truncated(tr, 2*time.Minute)
 	if _, err := New(long, shortTr, Options{}); err == nil {
 		t.Error("agent with more periods than the trace accepted")
@@ -294,9 +302,7 @@ func TestResumeEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		if k > 0 {
-			if _, err := a1.ProcessTrace(truncated(tr, time.Duration(k)*t0)); err != nil {
-				t.Fatal(err)
-			}
+			replayTrace(t, a1, truncated(tr, time.Duration(k)*t0))
 		}
 		var buf bytes.Buffer
 		if err := a1.WriteSnapshot(&buf); err != nil {
@@ -445,9 +451,7 @@ func TestPacedResumeMatchesInstant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ref.ProcessTrace(tr); err != nil {
-		t.Fatal(err)
-	}
+	replayTrace(t, ref, tr)
 	wantJSON, err := json.Marshal(ref.Reports())
 	if err != nil {
 		t.Fatal(err)
@@ -458,9 +462,7 @@ func TestPacedResumeMatchesInstant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a1.ProcessTrace(truncated(tr, k*t0)); err != nil {
-		t.Fatal(err)
-	}
+	replayTrace(t, a1, truncated(tr, k*t0))
 	a2, err := core.RestoreAgent(a1.Snapshot())
 	if err != nil {
 		t.Fatal(err)
@@ -552,9 +554,7 @@ func TestLoadOrNewAgent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := src.ProcessTrace(testTrace(t, true)); err != nil {
-		t.Fatal(err)
-	}
+	replayTrace(t, src, testTrace(t, true))
 	good := dir + "/good.json"
 	if err := WriteSnapshotFile(src.Snapshot(), good); err != nil {
 		t.Fatal(err)
@@ -715,9 +715,7 @@ func TestServeLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ref.ProcessTrace(tr); err != nil {
-		t.Fatal(err)
-	}
+	replayTrace(t, ref, tr)
 	want, _ := json.Marshal(ref.Reports())
 	got, _ := json.Marshal(d2.Reports())
 	if !bytes.Equal(got, want) {
@@ -755,9 +753,7 @@ func TestReplayDrainRespectsContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a1.ProcessTrace(truncated(tr, k*t0)); err != nil {
-		t.Fatal(err)
-	}
+	replayTrace(t, a1, truncated(tr, k*t0))
 	a2, err := core.RestoreAgent(a1.Snapshot())
 	if err != nil {
 		t.Fatal(err)

@@ -108,9 +108,7 @@ func TestLoadOrNewState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := agent.ProcessTrace(tr); err != nil {
-		t.Fatal(err)
-	}
+	replayTrace(t, agent, tr)
 	aggPath := filepath.Join(dir, "agg.json")
 	if err := WriteSnapshotFile(agent.Snapshot(), aggPath); err != nil {
 		t.Fatal(err)
@@ -199,9 +197,7 @@ func TestStateFileCompatibility(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := agent.ProcessTrace(testTrace(t, true)); err != nil {
-		t.Fatal(err)
-	}
+	replayTrace(t, agent, testTrace(t, true))
 
 	path := filepath.Join(dir, "agg.json")
 	if err := WriteSnapshotFile(agent.Snapshot(), path); err != nil {

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cusum"
+	"repro/internal/ingest"
 	"repro/internal/packet"
 	"repro/internal/trace"
 )
@@ -67,7 +68,7 @@ func agentOverBalanced(t *testing.T, sc *Scenario, t0 time.Duration, kbar float6
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := agent.ProcessCounts(pc); err != nil {
+	if err := ingest.ReplayCounts(ingest.WrapAgent(agent), pc); err != nil {
 		t.Fatal(err)
 	}
 	return agent

@@ -312,7 +312,7 @@ func AblationH2A(opts Options) ([]Artifact, error) {
 			if err != nil {
 				return h2aOutcome{}, err
 			}
-			if _, err := quiet.ProcessCounts(bgs[run].counts); err != nil {
+			if err := ingest.ReplayCounts(ingest.WrapAgent(quiet), bgs[run].counts); err != nil {
 				return h2aOutcome{}, err
 			}
 			o := h2aOutcome{quietAlarm: quiet.Alarmed()}
@@ -737,11 +737,11 @@ func AblationLastMile(opts Options) ([]Artifact, error) {
 			if err != nil {
 				return mcOutcome{}, err
 			}
-			agent, err := core.NewLastMileAgent(core.Config{WarmupPeriods: 10})
+			agent, err := core.NewAgent(core.Config{WarmupPeriods: 10})
 			if err != nil {
 				return mcOutcome{}, err
 			}
-			if _, err := agent.ProcessCounts(victimCounts); err != nil {
+			if err := ingest.ReplayCounts(ingest.WrapAgent(agent), victimCounts); err != nil {
 				return mcOutcome{}, err
 			}
 			var o mcOutcome

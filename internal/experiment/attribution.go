@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/flood"
+	"repro/internal/ingest"
 	"repro/internal/sourcetrack"
 	"repro/internal/trace"
 )
@@ -135,15 +136,12 @@ func AblationAttribution(opts Options) ([]Artifact, error) {
 			mixed.ClipSpan(merged.Span)
 		}
 
+		// One pipeline pass feeds both the aggregate agent and, as the
+		// record tap, the keyed tracker.
 		agent, err := core.NewAgent(core.Config{})
 		if err != nil {
 			return attrOutcome{}, err
 		}
-		if _, err := agent.ProcessTrace(mixed); err != nil {
-			return attrOutcome{}, err
-		}
-		res := resultFromAgent(agent, RunConfig{Onset: onset, FloodDuration: floodDur}, false)
-
 		tk, err := sourcetrack.New(sourcetrack.Config{
 			KeyBits:    24,
 			MaxSources: 4096,
@@ -153,9 +151,16 @@ func AblationAttribution(opts Options) ([]Artifact, error) {
 		if err != nil {
 			return attrOutcome{}, err
 		}
-		if err := tk.ProcessTrace(mixed); err != nil {
+		pipe := &ingest.Pipeline{
+			Source:   ingest.NewTraceSource(mixed),
+			Detector: ingest.WrapAgent(agent),
+			T0:       agent.Config().T0,
+			Tap:      tk,
+		}
+		if err := pipe.Run(); err != nil {
 			return attrOutcome{}, err
 		}
+		res := resultFromAgent(agent, RunConfig{Onset: onset, FloodDuration: floodDur}, false)
 
 		t0 := agent.Config().T0
 		onsetP := int(onset / t0)

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/ingest"
 	"repro/internal/packet"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -42,11 +43,6 @@ type Options struct {
 	// own RNG from a stable hash of its identity, never a shared
 	// stream.
 	Parallelism int
-	// RecordLevel routes every detection run through the record-level
-	// merge-and-replay path instead of the default counts fast path.
-	// The two produce bit-identical artifacts; record level exists for
-	// equivalence testing and for inputs that only exist as records.
-	RecordLevel bool
 }
 
 func (o *Options) applyDefaults() {
@@ -233,9 +229,9 @@ func Fig4(opts Options) ([]Artifact, error) {
 
 // normalOperationFigure runs the detector over flood-free background
 // traffic and plots yn (one panel of Figure 5). The trace is reduced
-// to per-period counts first; ProcessCounts yields the same statistic
+// to per-period counts first; ReplayCounts yields the same statistic
 // stream as a record-level replay.
-func normalOperationFigure(id string, p trace.Profile, seed int64, recordLevel bool) (*Figure, error) {
+func normalOperationFigure(id string, p trace.Profile, seed int64) (*Figure, error) {
 	tr, err := trace.Generate(p, seed)
 	if err != nil {
 		return nil, err
@@ -244,15 +240,11 @@ func normalOperationFigure(id string, p trace.Profile, seed int64, recordLevel b
 	if err != nil {
 		return nil, err
 	}
-	if recordLevel {
-		_, err = agent.ProcessTrace(tr)
-	} else {
-		var counts *trace.PeriodCounts
-		if counts, err = tr.Aggregate(agent.Config().T0); err == nil {
-			_, err = agent.ProcessCounts(counts)
-		}
-	}
+	counts, err := tr.Aggregate(agent.Config().T0)
 	if err != nil {
+		return nil, err
+	}
+	if err := ingest.ReplayCounts(ingest.WrapAgent(agent), counts); err != nil {
 		return nil, err
 	}
 	ys := agent.Statistics()
@@ -282,7 +274,7 @@ func Fig5(opts Options) ([]Artifact, error) {
 	ids := []string{"fig5a", "fig5b", "fig5c"}
 	out := make([]Artifact, len(sites))
 	err := ForEach(opts.Parallelism, len(sites), func(i int) error {
-		fig, err := normalOperationFigure(ids[i], shrinkSpan(sites[i], opts.Fast, 5*time.Minute), opts.Seed+int64(i)*11, opts.RecordLevel)
+		fig, err := normalOperationFigure(ids[i], shrinkSpan(sites[i], opts.Fast, 5*time.Minute), opts.Seed+int64(i)*11)
 		if err != nil {
 			return err
 		}
@@ -308,7 +300,6 @@ func uncSweepConfig(opts Options) SweepConfig {
 		FloodDuration: 10 * time.Minute,
 		Seed:          opts.Seed,
 		Parallelism:   opts.Parallelism,
-		RecordLevel:   opts.RecordLevel,
 	}
 }
 
@@ -331,7 +322,7 @@ func Table2(opts Options) ([]Artifact, error) {
 
 // sensitivityFigure plots yn for one run per rate (Figures 7 and 8),
 // one worker per rate.
-func sensitivityFigure(id, site string, p trace.Profile, agentCfg core.Config, rates []float64, onset time.Duration, seed int64, parallelism int, recordLevel bool) (*Figure, error) {
+func sensitivityFigure(id, site string, p trace.Profile, agentCfg core.Config, rates []float64, onset time.Duration, seed int64, parallelism int) (*Figure, error) {
 	series, err := collect(parallelism, len(rates), func(i int) (Series, error) {
 		res, err := Run(RunConfig{
 			Profile:       p,
@@ -340,7 +331,6 @@ func sensitivityFigure(id, site string, p trace.Profile, agentCfg core.Config, r
 			Onset:         onset,
 			FloodDuration: 10 * time.Minute,
 			Seed:          seed + int64(i)*101,
-			RecordLevel:   recordLevel,
 		})
 		if err != nil {
 			return Series{}, err
@@ -379,7 +369,7 @@ func Fig7(opts Options) ([]Artifact, error) {
 		p.Span = 15 * time.Minute
 	}
 	fig, err := sensitivityFigure("fig7", "UNC",
-		p, core.Config{}, []float64{45, 60, 80}, 5*time.Minute, opts.Seed, opts.Parallelism, opts.RecordLevel)
+		p, core.Config{}, []float64{45, 60, 80}, 5*time.Minute, opts.Seed, opts.Parallelism)
 	if err != nil {
 		return nil, err
 	}
@@ -399,7 +389,6 @@ func aucklandSweepConfig(opts Options) SweepConfig {
 		FloodDuration: 10 * time.Minute,
 		Seed:          opts.Seed,
 		Parallelism:   opts.Parallelism,
-		RecordLevel:   opts.RecordLevel,
 	}
 }
 
@@ -427,7 +416,7 @@ func Fig8(opts Options) ([]Artifact, error) {
 		p.Span = 40 * time.Minute
 	}
 	fig, err := sensitivityFigure("fig8", "Auckland",
-		p, core.Config{}, []float64{2, 5, 10}, 20*time.Minute, opts.Seed, opts.Parallelism, opts.RecordLevel)
+		p, core.Config{}, []float64{2, 5, 10}, 20*time.Minute, opts.Seed, opts.Parallelism)
 	if err != nil {
 		return nil, err
 	}
@@ -445,7 +434,7 @@ func Fig9(opts Options) ([]Artifact, error) {
 	}
 	tuned := core.Config{Offset: 0.2, Threshold: 0.6}
 	fig, err := sensitivityFigure("fig9", "UNC (tuned: a=0.2, N=0.6)",
-		p, tuned, []float64{15}, 5*time.Minute, opts.Seed, opts.Parallelism, opts.RecordLevel)
+		p, tuned, []float64{15}, 5*time.Minute, opts.Seed, opts.Parallelism)
 	if err != nil {
 		return nil, err
 	}
@@ -459,7 +448,6 @@ func Fig9(opts Options) ([]Artifact, error) {
 		Onset:         5 * time.Minute,
 		FloodDuration: 10 * time.Minute,
 		Seed:          opts.Seed,
-		RecordLevel:   opts.RecordLevel,
 	})
 	if err != nil {
 		return nil, err
@@ -507,7 +495,7 @@ func FalseAlarmSummary(agentCfg core.Config, seeds []int64, profiles []trace.Pro
 		if err != nil {
 			return cell{}, err
 		}
-		if _, err := agent.ProcessCounts(counts); err != nil {
+		if err := ingest.ReplayCounts(ingest.WrapAgent(agent), counts); err != nil {
 			return cell{}, err
 		}
 		c := cell{alarmed: agent.Alarmed()}

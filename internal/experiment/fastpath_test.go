@@ -1,16 +1,56 @@
 package experiment
 
 import (
-	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/flood"
+	"repro/internal/ingest"
 	"repro/internal/trace"
 )
+
+// recordRun is the record-level reference for Run: materialize the
+// flood as spoofed-source records, merge them into the background,
+// clip to the background span and stream every record through the
+// ingest pipeline — the Figure 6 pipeline verbatim.
+func recordRun(t *testing.T, cfg RunConfig) RunResult {
+	t.Helper()
+	floodCfg, err := cfg.floodConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bg := cfg.Background
+	if bg == nil {
+		if bg, err = trace.Generate(cfg.Profile, cfg.Seed); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fl, err := flood.GenerateTrace(floodCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mixed := trace.Merge(bg.Name+"+flood", bg, fl)
+	if mixed.Span > bg.Span {
+		mixed.ClipSpan(bg.Span)
+	}
+	agent, err := core.NewAgent(cfg.Agent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &ingest.Pipeline{
+		Source:   ingest.NewTraceSource(mixed),
+		Detector: ingest.WrapAgent(agent),
+		T0:       agent.Config().T0,
+	}
+	if err := p.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return resultFromAgent(agent, cfg, true)
+}
 
 // equalRunResults compares two RunResults field by field, including
 // the full per-period series.
@@ -38,8 +78,8 @@ func equalRunResults(t *testing.T, got, want RunResult) {
 }
 
 // TestRunCrossPathIdentical is the Run-level equivalence matrix: every
-// site profile, two rates, random onsets and two seeds, the counts
-// fast path against the record-level replay. Floods regularly outlast
+// site profile, two rates, random onsets and two seeds, Run's counts
+// replay against the record-level reference. Floods regularly outlast
 // the 12-minute background, so the span-clip semantics are covered
 // too.
 func TestRunCrossPathIdentical(t *testing.T) {
@@ -63,12 +103,7 @@ func TestRunCrossPathIdentical(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					cfg.RecordLevel = true
-					rec, err := Run(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					equalRunResults(t, fast, rec)
+					equalRunResults(t, fast, recordRun(t, cfg))
 				})
 			}
 		}
@@ -76,8 +111,9 @@ func TestRunCrossPathIdentical(t *testing.T) {
 }
 
 // TestRunCrossPathPatterns extends the equivalence to the non-constant
-// flood patterns, whose arrival times come from the thinning RNG: both
-// paths must draw the identical arrival process.
+// flood patterns, whose arrival times come from the thinning RNG: the
+// binned counts and the materialized records must carry the identical
+// arrival process.
 func TestRunCrossPathPatterns(t *testing.T) {
 	p := trace.Auckland()
 	p.Span = 15 * time.Minute
@@ -101,19 +137,15 @@ func TestRunCrossPathPatterns(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg.RecordLevel = true
-			rec, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			equalRunResults(t, fast, rec)
+			equalRunResults(t, fast, recordRun(t, cfg))
 		})
 	}
 }
 
 // TestSweepCrossPathSharedCounts pins that the shared-counts sweep (one
-// Aggregate, AddFlood overlays per cell) equals a record-level sweep
-// cell for cell.
+// Aggregate, AddFlood overlays per cell on pooled Runners) equals a
+// sweep whose every cell is the record-level reference, with the same
+// per-cell onset and seed derivation.
 func TestSweepCrossPathSharedCounts(t *testing.T) {
 	p := trace.UNC()
 	p.Span = 15 * time.Minute
@@ -132,36 +164,42 @@ func TestSweepCrossPathSharedCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.RecordLevel = true
-	rec, err := Sweep(cfg)
+	bg, err := trace.Generate(p, seedFor(cfg.Seed, "sweep-background:"+p.Name))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fast) != len(rec) {
-		t.Fatalf("%d rates vs %d", len(fast), len(rec))
+	if len(fast) != len(cfg.Rates) {
+		t.Fatalf("%d rates, want %d", len(fast), len(cfg.Rates))
 	}
-	for i := range fast {
-		if fast[i] != rec[i] {
-			t.Errorf("rate %v: counts %+v vs record %+v", cfg.Rates[i], fast[i], rec[i])
-		}
-	}
-}
-
-// TestArtifactsCrossPathIdentical is the artifact-level pin: the
-// Monte-Carlo tables and sensitivity figures render byte-identically
-// (text and CSV) whether produced by the counts fast path or the
-// record-level path.
-func TestArtifactsCrossPathIdentical(t *testing.T) {
-	for _, id := range []string{"table2", "table3", "fig7", "fig8"} {
-		id := id
-		t.Run(id, func(t *testing.T) {
-			opts := Options{Seed: 5, Runs: 2, Fast: true, Parallelism: 4}
-			fast := renderAll(t, id, opts)
-			opts.RecordLevel = true
-			rec := renderAll(t, id, opts)
-			if !bytes.Equal(fast, rec) {
-				t.Errorf("artifacts diverge across paths:\n--- counts ---\n%s\n--- record ---\n%s", fast, rec)
+	for ri, rate := range cfg.Rates {
+		want := Performance{Rate: rate, Runs: cfg.Runs}
+		detected, delay := 0, 0.0
+		for run := 0; run < cfg.Runs; run++ {
+			rng := rand.New(rand.NewSource(seedFor(cfg.Seed, "sweep-cell:"+p.Name,
+				math.Float64bits(rate), uint64(run))))
+			onset := cfg.OnsetMin + time.Duration(rng.Int63n(int64(cfg.OnsetMax-cfg.OnsetMin)))
+			res := recordRun(t, RunConfig{
+				Background:    bg,
+				Agent:         cfg.Agent,
+				Rate:          rate,
+				Onset:         onset,
+				FloodDuration: cfg.FloodDuration,
+				Seed:          rng.Int63(),
+			})
+			switch {
+			case res.FalseAlarm:
+				want.FalseAlarms++
+			case res.Detected:
+				detected++
+				delay += float64(res.DetectionPeriods)
 			}
-		})
+		}
+		want.DetectionProb = float64(detected) / float64(cfg.Runs)
+		if detected > 0 {
+			want.MeanDetectionPeriods = delay / float64(detected)
+		}
+		if fast[ri] != want {
+			t.Errorf("rate %v: counts %+v vs record %+v", rate, fast[ri], want)
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/flood"
+	"repro/internal/ingest"
 	"repro/internal/trace"
 )
 
@@ -128,7 +129,12 @@ func Fig6(opts Options) ([]Artifact, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := agent.ProcessTrace(mixed); err != nil {
+	pipe := &ingest.Pipeline{
+		Source:   ingest.NewTraceSource(mixed),
+		Detector: ingest.WrapAgent(agent),
+		T0:       agent.Config().T0,
+	}
+	if err := pipe.Run(); err != nil {
 		return nil, err
 	}
 	if !agent.Alarmed() {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/flood"
+	"repro/internal/ingest"
 	"repro/internal/trace"
 )
 
@@ -20,6 +21,9 @@ import (
 type Runner struct {
 	counts *trace.PeriodCounts
 	agent  *core.Agent
+	// det wraps agent once, held by value inside the Runner, so neither
+	// construction nor the per-cell replay allocates for it.
+	det ingest.AgentDetector
 	// overlay is the per-cell input: OutSYN is scratch the background
 	// counts are copied into before the flood is binned on top;
 	// InSYNACK aliases the shared background (floods add no SYN/ACKs).
@@ -44,6 +48,7 @@ func NewRunner(agentCfg core.Config, counts *trace.PeriodCounts) (*Runner, error
 	return &Runner{
 		counts: counts,
 		agent:  agent,
+		det:    *ingest.WrapAgent(agent),
 		overlay: trace.PeriodCounts{
 			T0:       counts.T0,
 			OutSYN:   make([]float64, counts.Periods()),
@@ -57,8 +62,7 @@ func NewRunner(agentCfg core.Config, counts *trace.PeriodCounts) (*Runner, error
 // Statistic and X series are left nil, since materializing them would
 // put two allocations back into the per-cell loop. Use the
 // package-level Run when the series are needed. cfg's background
-// fields (Profile, Background, BackgroundCounts) and RecordLevel are
-// ignored.
+// fields (Profile, Background, BackgroundCounts) are ignored.
 func (r *Runner) Run(cfg RunConfig) (RunResult, error) {
 	floodCfg, err := cfg.floodConfig()
 	if err != nil {
@@ -69,7 +73,7 @@ func (r *Runner) Run(cfg RunConfig) (RunResult, error) {
 		return RunResult{}, fmt.Errorf("experiment: flood: %w", err)
 	}
 	r.agent.Restart()
-	if _, err := r.agent.ProcessCounts(&r.overlay); err != nil {
+	if err := ingest.ReplayCounts(&r.det, &r.overlay); err != nil {
 		return RunResult{}, err
 	}
 	return resultFromAgent(r.agent, cfg, false), nil

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/eventsim"
 	"repro/internal/flood"
+	"repro/internal/ingest"
 	"repro/internal/packet"
 	"repro/internal/tcp"
 	"repro/internal/trace"
@@ -122,7 +123,7 @@ func victimPrepare(opts Options) ([]victimPrep, error) {
 		if err != nil {
 			return victimPrep{}, err
 		}
-		if _, err := agent.ProcessCounts(counts); err != nil {
+		if err := ingest.ReplayCounts(ingest.WrapAgent(agent), counts); err != nil {
 			return victimPrep{}, err
 		}
 		if agent.Alarmed() {

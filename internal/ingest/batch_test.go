@@ -39,7 +39,7 @@ func batchChunkRecords(n int) []trace.Record {
 }
 
 // TestBatchPathAllocs pins the batch pipeline's zero-allocation
-// contract end to end: arena Get/Put per chunk, FeedBatch through the
+// contract end to end: a chunk refill, FeedBatch through the
 // aggregator, and the keyed tracker's batch tap (multi-shard, so the
 // per-shard grouping scratch is exercised) must allocate nothing once
 // warm.
@@ -62,18 +62,15 @@ func TestBatchPathAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	agg.SetTap(tracker)
-	arena := NewArena(DefaultChunk)
+	buf := make([]trace.Record, DefaultChunk)
 
 	feed := func() {
-		buf := arena.Get()
 		n := copy(buf, recs)
 		if err := agg.FeedBatch(buf[:n]); err != nil {
 			t.Fatal(err)
 		}
-		arena.Put(buf)
 	}
-	// Warm-up: admit the keys, grow the tracker's grouping scratch and
-	// seed the arena's pool.
+	// Warm-up: admit the keys and grow the tracker's grouping scratch.
 	feed()
 
 	allocs := testing.AllocsPerRun(10, feed)
@@ -128,7 +125,7 @@ func (rt recordOnlyTap) ClosePeriod(index int, end time.Duration) { rt.tk.CloseP
 // fuzzRecords decodes an arbitrary byte string into a record stream:
 // 4 bytes per record (signed ts delta in 100ms steps, kind, dir, host
 // byte). Deliberately unclamped — negative and out-of-order timestamps
-// must drive both paths into the same error at the same record.
+// must drive every split into the same error at the same record.
 func fuzzRecords(data []byte) []trace.Record {
 	recs := make([]trace.Record, 0, len(data)/4)
 	ts := time.Duration(0)
@@ -167,108 +164,124 @@ func newFuzzTracker(t *testing.T) *sourcetrack.Tracker {
 	return tk
 }
 
-// FuzzBatchMatchesRecordPath is the batch pipeline's equivalence
-// oracle: over arbitrary record streams (including invalid ones) and
-// arbitrary chunk sizes (including 1 and EOF-mid-chunk), the chunked
-// path — NextBatch through an arena into FeedBatch, keyed tracker on
-// the batch tap — must return the same error, the same period reports
-// and the same keyed tracker state as the record-at-a-time reference.
+// splitRun is one way of cutting a record stream into FeedBatch calls,
+// with everything it produced.
+type splitRun struct {
+	det *AgentDetector
+	tk  *sourcetrack.Tracker
+	agg *Aggregator
+	err error
+}
+
+// feedSplit feeds recs through a fresh aggregator in chunks whose
+// lengths come from next (0 makes an empty call, then feeds one
+// record), stopping at the first error, then finishes the tail. recordTap puts the tracker behind the
+// per-record tap face instead of the batch face.
+func feedSplit(t *testing.T, recs []trace.Record, span time.Duration, recordTap bool, next func() int) splitRun {
+	t.Helper()
+	const t0 = time.Second
+	det, err := NewAgentDetector(core.Config{T0: t0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tk := newFuzzTracker(t)
+	agg, err := NewAggregator(t0, span, det, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if recordTap {
+		agg.SetTap(recordOnlyTap{tk})
+	} else {
+		agg.SetTap(tk)
+	}
+	run := splitRun{det: det, tk: tk, agg: agg}
+	for i := 0; i < len(recs) && run.err == nil; {
+		n := next()
+		if n == 0 {
+			run.err = agg.FeedBatch(recs[i:i]) // must change nothing
+			n = 1
+		}
+		j := min(i+n, len(recs))
+		if run.err == nil {
+			run.err = agg.FeedBatch(recs[i:j])
+		}
+		i = j
+	}
+	if run.err == nil {
+		run.err = agg.Finish(0)
+	}
+	return run
+}
+
+// FuzzBatchMatchesRecordPath is the aggregator's split-invariance
+// oracle: over arbitrary record streams (including invalid ones), cut
+// into FeedBatch calls at arbitrary points (including empty calls),
+// the result must match feeding one record per call through the
+// per-record tap face — the same error at the same record, the same
+// period reports and the same keyed tracker state.
 func FuzzBatchMatchesRecordPath(f *testing.F) {
-	f.Add([]byte{}, uint8(1))
-	f.Add([]byte{10, 1, 0, 1, 10, 2, 1, 1, 10, 1, 0, 2}, uint8(1))
-	f.Add([]byte{100, 1, 0, 3, 0, 2, 1, 3, 50, 3, 0, 4, 50, 1, 0, 5}, uint8(3))
-	f.Add([]byte{255, 1, 0, 1}, uint8(7))                             // negative delta: out-of-order/negative ts
-	f.Add([]byte{127, 1, 0, 1, 127, 1, 0, 1, 127, 1, 0, 1}, uint8(2)) // past span
-	f.Fuzz(func(t *testing.T, data []byte, chunkByte uint8) {
+	f.Add([]byte{}, []byte{1})
+	f.Add([]byte{10, 1, 0, 1, 10, 2, 1, 1, 10, 1, 0, 2}, []byte{1})
+	f.Add([]byte{100, 1, 0, 3, 0, 2, 1, 3, 50, 3, 0, 4, 50, 1, 0, 5}, []byte{3, 0, 1})
+	f.Add([]byte{255, 1, 0, 1}, []byte{7})                             // negative delta: out-of-order/negative ts
+	f.Add([]byte{127, 1, 0, 1, 127, 1, 0, 1, 127, 1, 0, 1}, []byte{2}) // past span
+	f.Fuzz(func(t *testing.T, data, cuts []byte) {
 		recs := fuzzRecords(data)
-		const t0 = time.Second
 		span := 8 * time.Second
-		chunk := int(chunkByte%32) + 1
 
-		// Reference: record-at-a-time Feed with the per-record tap.
-		det1, err := NewAgentDetector(core.Config{T0: t0})
-		if err != nil {
-			t.Fatal(err)
-		}
-		tk1 := newFuzzTracker(t)
-		agg1, err := NewAggregator(t0, span, det1, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		agg1.SetTap(recordOnlyTap{tk1})
-		var err1 error
-		for _, r := range recs {
-			if err1 = agg1.Feed(r); err1 != nil {
-				break
+		ref := feedSplit(t, recs, span, true, func() int { return 1 })
+		k := 0
+		got := feedSplit(t, recs, span, false, func() int {
+			if len(cuts) == 0 {
+				return len(recs)
 			}
-		}
-		if err1 == nil {
-			err1 = agg1.Finish(0)
-		}
-
-		// Batch path: a TraceSource streamed chunk-at-a-time (odd chunk
-		// sizes go through the single-record adapter so both NextBatch
-		// faces are covered), tracker on the batch tap.
-		det2, err := NewAgentDetector(core.Config{T0: t0})
-		if err != nil {
-			t.Fatal(err)
-		}
-		tk2 := newFuzzTracker(t)
-		agg2, err := NewAggregator(t0, span, det2, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		agg2.SetTap(tk2)
-		var bs BatchSource = NewTraceSource(&trace.Trace{Records: recs, Span: span})
-		if chunk%2 == 1 {
-			bs = &batchAdapter{src: NewTraceSource(&trace.Trace{Records: recs, Span: span})}
-		}
-		err2 := drain(bs, agg2, NewArena(chunk))
-		if err2 == nil {
-			err2 = agg2.Finish(0)
-		}
+			n := int(cuts[k%len(cuts)] % 33)
+			k++
+			return n
+		})
 
 		switch {
-		case (err1 == nil) != (err2 == nil):
-			t.Fatalf("error divergence: record path %v, batch path %v (chunk %d)", err1, err2, chunk)
-		case err1 != nil && err1.Error() != err2.Error():
-			t.Fatalf("different errors:\n record %v\n batch  %v (chunk %d)", err1, err2, chunk)
+		case (ref.err == nil) != (got.err == nil):
+			t.Fatalf("error divergence: per-record %v, split %v (cuts %v)", ref.err, got.err, cuts)
+		case ref.err != nil && ref.err.Error() != got.err.Error():
+			t.Fatalf("different errors:\n per-record %v\n split      %v (cuts %v)", ref.err, got.err, cuts)
 		}
-		if agg1.Records() != agg2.Records() || agg1.Skipped() != agg2.Skipped() {
-			t.Fatalf("volume divergence: record %d/%d, batch %d/%d",
-				agg1.Records(), agg1.Skipped(), agg2.Records(), agg2.Skipped())
+		if ref.agg.Records() != got.agg.Records() || ref.agg.Skipped() != got.agg.Skipped() {
+			t.Fatalf("volume divergence: per-record %d/%d, split %d/%d",
+				ref.agg.Records(), ref.agg.Skipped(), got.agg.Records(), got.agg.Skipped())
 		}
-		r1, r2 := det1.Reports(), det2.Reports()
-		if !reflect.DeepEqual(r1, r2) {
-			t.Fatalf("report divergence (chunk %d):\n record %+v\n batch  %+v", chunk, r1, r2)
+		if r1, r2 := ref.det.Reports(), got.det.Reports(); !reflect.DeepEqual(r1, r2) {
+			t.Fatalf("report divergence (cuts %v):\n per-record %+v\n split      %+v", cuts, r1, r2)
 		}
-		v1, v2 := tk1.View(0), tk2.View(0)
-		if !reflect.DeepEqual(v1, v2) {
-			t.Fatalf("keyed state divergence (chunk %d):\n record %+v\n batch  %+v", chunk, v1, v2)
+		if v1, v2 := ref.tk.View(0), got.tk.View(0); !reflect.DeepEqual(v1, v2) {
+			t.Fatalf("keyed state divergence (cuts %v):\n per-record %+v\n split      %+v", cuts, v1, v2)
 		}
 	})
 }
 
-// TestBatchMatchesRecordPathSeeds replays the fuzz seeds (plus a real
-// flood trace at several chunk sizes) deterministically, so the
-// equivalence holds in plain `go test` runs too.
+// TestBatchMatchesRecordPathSeeds feeds a real flood trace through the
+// aggregator at several fixed chunk sizes, so split invariance holds
+// in plain `go test` runs too, against the independent counts
+// reference.
 func TestBatchMatchesRecordPathSeeds(t *testing.T) {
 	tr := testTrace(t)
-	want := processTraceReports(t, tr)
+	want := referenceReports(t, tr)
 	for _, chunk := range []int{1, 2, 7, 64, DefaultChunk, 1 << 15} {
 		t.Run(fmt.Sprintf("chunk=%d", chunk), func(t *testing.T) {
 			det, err := NewAgentDetector(core.Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			p := &Pipeline{
-				Source:   NewTraceSource(tr),
-				Detector: det,
-				T0:       20 * time.Second,
-				Chunk:    chunk,
-				Arena:    NewArena(chunk),
+			agg, err := NewAggregator(20*time.Second, tr.Span, det, nil)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if err := p.Run(); err != nil {
+			for i := 0; i < len(tr.Records); i += chunk {
+				if err := agg.FeedBatch(tr.Records[i:min(i+chunk, len(tr.Records))]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := agg.Finish(0); err != nil {
 				t.Fatal(err)
 			}
 			compareReports(t, det.Reports(), want)

@@ -11,9 +11,9 @@ import (
 )
 
 // AgentDetector adapts core.Agent — the paper's CUSUM decision rule —
-// to the Detector interface. Each closed period goes through the same
-// EndPeriod the record-level path uses, so pipeline output is
-// bit-identical to Agent.ProcessTrace (the ProcessCounts equivalence).
+// to the Detector interface. Each closed period goes through the
+// agent's LoadPeriod, the one place both the record pipeline and the
+// counts replay fold a period into the CUSUM.
 type AgentDetector struct {
 	agent *core.Agent
 }
@@ -190,9 +190,15 @@ func NewDetector(name string, cfg DetectorConfig) (Detector, error) {
 }
 
 // ReplayCounts drives a detector straight from aggregated per-period
-// counts — the counts fast path expressed on the unified interface.
-// Like Agent.ProcessCounts it is resume-aware: the detector's existing
-// period count is skipped.
+// counts — the only counts → detector replay. Detection is
+// non-parametric (Eqs. 1-4 see only per-period counts), so for any
+// trace tr, ReplayCounts(det, tr.Aggregate(t0)) produces the reports a
+// Pipeline over tr does, at O(periods) instead of O(records).
+//
+// It is resume-aware: the detector's existing period count is skipped,
+// and a detector whose history already covers the counts is left
+// unchanged. For the CUSUM agent the counts' period must match the
+// agent's observation period.
 func ReplayCounts(det Detector, pc *trace.PeriodCounts) error {
 	if pc == nil || pc.Periods() == 0 {
 		return fmt.Errorf("ingest: no complete periods in counts")
@@ -200,6 +206,14 @@ func ReplayCounts(det Detector, pc *trace.PeriodCounts) error {
 	if len(pc.InSYNACK) != len(pc.OutSYN) {
 		return fmt.Errorf("ingest: period counts misaligned (%d SYN vs %d SYN/ACK periods)",
 			len(pc.OutSYN), len(pc.InSYNACK))
+	}
+	if ad, ok := det.(*AgentDetector); ok {
+		if t0 := ad.agent.Config().T0; pc.T0 != t0 {
+			return fmt.Errorf("ingest: counts period %v does not match agent period %v", pc.T0, t0)
+		}
+		if n := pc.Periods() - det.Periods(); n > 0 {
+			ad.agent.Grow(n)
+		}
 	}
 	for i := det.Periods(); i < pc.Periods(); i++ {
 		out, err := countAsUint(pc.OutSYN[i])
@@ -220,9 +234,10 @@ func ReplayCounts(det Detector, pc *trace.PeriodCounts) error {
 	return nil
 }
 
-// countAsUint mirrors core's conversion guard: aggregated counts are
-// tallies, so anything negative, fractional, non-finite, or beyond
-// float64's exact-integer range is corruption, not a count.
+// countAsUint converts an aggregated packet count to the sniffer's
+// integer domain. Aggregated counts are tallies, so anything negative,
+// fractional, non-finite, or beyond float64's exact-integer range is
+// corruption, not a count.
 func countAsUint(v float64) (uint64, error) {
 	if !(v >= 0) || v != math.Trunc(v) || v > 1<<53 {
 		return 0, fmt.Errorf("invalid period count %v", v)

@@ -14,16 +14,17 @@
 // the current period's four counters is retained, which is what lets
 // the daemon ingest captures larger than memory.
 //
-// The pipeline is bit-identical to core.Agent.ProcessTrace: the
-// Aggregator mirrors its skip/boundary/tail logic exactly, and the
-// CUSUM detector folds periods through the same EndPeriod the record
-// path uses (see the ProcessCounts equivalence note in internal/core).
+// The Aggregator is the only record → period binner: every replay of
+// records, file or live, goes through it, and ReplayCounts is the only
+// replay of pre-aggregated counts. Both close each period through the
+// detector's Period, so for any trace tr, running tr through the
+// pipeline and ReplayCounts(det, tr.Aggregate(t0)) yield bit-identical
+// reports (the paper's detector sees only the per-period counts).
 package ingest
 
 import (
 	"errors"
 	"fmt"
-	"io"
 	"time"
 
 	"repro/internal/core"
@@ -109,18 +110,17 @@ type RecordTap interface {
 // BatchRecordTap is the chunked upgrade of RecordTap: taps that
 // implement it receive each counted run of records in one call instead
 // of one call per record, in the same order Record would have seen
-// them. FeedBatch prefers it when present; Feed still delivers records
-// one at a time.
+// them. FeedBatch prefers it when present.
 type BatchRecordTap interface {
 	RecordTap
 	RecordBatch(recs []trace.Record)
 }
 
-// Aggregator is the push-side period folder: Feed it time-ordered
+// Aggregator is the push-side period folder: feed it time-ordered
 // records and it counts them into the current period, closing each
-// period boundary through the Detector. Its skip/boundary/tail
-// behavior mirrors core.Agent.ProcessTrace exactly, so the two paths
-// produce bit-identical reports.
+// period boundary through the Detector. Records inside already-resumed
+// periods are skipped, and the trailing partial period is discarded,
+// mirroring trace.Aggregate.
 type Aggregator struct {
 	t0   time.Duration
 	det  Detector
@@ -169,62 +169,30 @@ func NewAggregator(t0 time.Duration, span time.Duration, det Detector, sink Sink
 	return a, nil
 }
 
-// Feed counts one record, closing any period boundaries it crosses.
-// Records must arrive in time order; records inside already-resumed
-// periods are skipped, and records past the last complete period are
-// ignored (the trailing partial period is discarded, mirroring
-// trace.Aggregate).
-func (a *Aggregator) Feed(r trace.Record) error {
-	if r.Ts < 0 {
-		return fmt.Errorf("ingest: record with negative timestamp %v", r.Ts)
-	}
-	if a.sawRecord && r.Ts < a.lastTs {
-		return fmt.Errorf("ingest: record at %v out of order (previous at %v)", r.Ts, a.lastTs)
-	}
-	if a.span > 0 && r.Ts >= a.span {
-		return fmt.Errorf("ingest: record at %v outside span %v", r.Ts, a.span)
-	}
-	a.lastTs, a.sawRecord = r.Ts, true
-	a.records++
-	if r.Ts < a.resumed {
-		a.skipped++
-		return nil
-	}
-	for r.Ts >= a.next && (a.periods < 0 || a.done < a.periods) {
-		a.closePeriod()
-	}
-	if a.periods >= 0 && a.done >= a.periods {
-		return nil // past the last complete period
-	}
-	a.count(r)
-	if a.tap != nil {
-		a.tap.Record(r)
-	}
-	return nil
-}
-
 // SetTap attaches a keyed demux tap. It must be set before the first
-// Feed; the tap then sees every counted record and period close.
+// FeedBatch; the tap then sees every counted record and period close.
 func (a *Aggregator) SetTap(tap RecordTap) {
 	a.tap = tap
 	a.batchTap, _ = tap.(BatchRecordTap)
 }
 
-// FeedBatch counts a chunk of records, bit-identical to calling Feed
-// on each in order — same counts, same boundary closes, same tap
-// sequence, same error at the same record — but with the per-record
-// interface dispatch amortized away: records are processed in runs
-// that share one boundary/span/resume decision, so the inner loop is a
-// timestamp-order check and a counter increment. On error, records
-// before the offending one are fully counted, exactly as the
-// single-record path leaves them.
+// FeedBatch counts a chunk of time-ordered records, closing any period
+// boundaries they cross. Records inside already-resumed periods are
+// skipped, and records past the last complete period are validated but
+// not counted (the trailing partial period is discarded, mirroring
+// trace.Aggregate). Records are processed in runs that share one
+// boundary/span/resume decision, so the inner loop is a
+// timestamp-order check and a counter increment. How a stream is cut
+// into chunks does not matter: the counts, boundary closes, tap
+// sequence and the error at the first bad record are the same for any
+// split. On error, records before the offending one are fully counted.
 func (a *Aggregator) FeedBatch(recs []trace.Record) error {
 	i, n := 0, len(recs)
 	for i < n {
 		r := &recs[i]
-		// Head-of-run validation: the same checks Feed applies to every
-		// record. Records inside the run are covered by the run's scan
-		// invariant (non-decreasing and below the open period's end).
+		// Head-of-run validation. Records inside the run are covered by
+		// the run's scan invariant (non-decreasing and below the open
+		// period's end).
 		if r.Ts < 0 {
 			return fmt.Errorf("ingest: record with negative timestamp %v", r.Ts)
 		}
@@ -247,7 +215,7 @@ func (a *Aggregator) FeedBatch(recs []trace.Record) error {
 		}
 		if a.periods >= 0 && a.done >= a.periods {
 			// Past the last complete period: validated and tallied but
-			// never counted, mirroring Feed's early return.
+			// never counted.
 			a.lastTs, a.sawRecord = r.Ts, true
 			a.records++
 			i++
@@ -383,24 +351,13 @@ type Pipeline struct {
 	// Tap, if set, receives every counted record and period close —
 	// the keyed source-attribution demux rides here.
 	Tap RecordTap
-	// Chunk is the batch size in records: 0 picks DefaultChunk, a
-	// negative value selects the single-record compatibility loop
-	// (one Source.Next and one Feed per record). Both paths are
-	// bit-identical; the batch path is simply faster.
-	Chunk int
-	// Arena, if set, supplies the run's chunk buffer; callers running
-	// many pipelines share one arena so chunks recycle across runs.
-	// Nil allocates one chunk for the run.
-	Arena *Arena
 }
 
 // Run drains the source through the aggregator and finishes the tail.
-// The source is not closed; the caller owns it.
-//
-// Records move in chunks: the source's native NextBatch (or the
-// single-record adapter) fills an arena chunk, and the aggregator
-// folds each chunk with one boundary decision per run of records.
-// Chunk < 0 falls back to the record-at-a-time loop.
+// The source is not closed; the caller owns it. Records move in chunks
+// of DefaultChunk: the source's native NextBatch (or the single-record
+// adapter) fills one buffer, and the aggregator folds each chunk with
+// one boundary decision per run of records.
 func (p *Pipeline) Run() error {
 	span := p.Span
 	if span == 0 {
@@ -415,18 +372,8 @@ func (p *Pipeline) Run() error {
 	if p.Tap != nil {
 		agg.SetTap(p.Tap)
 	}
-	if p.Chunk < 0 {
-		if err := p.runSingle(agg); err != nil {
-			return err
-		}
-	} else {
-		arena := p.Arena
-		if arena == nil || arena.Size() != p.chunkSize() {
-			arena = NewArena(p.chunkSize())
-		}
-		if err := drain(AsBatch(p.Source), agg, arena); err != nil {
-			return err
-		}
+	if err := drain(AsBatch(p.Source), agg); err != nil {
+		return err
 	}
 	finalSpan := time.Duration(0)
 	if span == 0 {
@@ -435,29 +382,4 @@ func (p *Pipeline) Run() error {
 		}
 	}
 	return agg.Finish(finalSpan)
-}
-
-func (p *Pipeline) chunkSize() int {
-	if p.Chunk > 0 {
-		return p.Chunk
-	}
-	return DefaultChunk
-}
-
-// runSingle is the legacy record-at-a-time loop, kept as the
-// compatibility path (and as the reference the equivalence suites pin
-// the batch path against).
-func (p *Pipeline) runSingle(agg *Aggregator) error {
-	for {
-		r, err := p.Source.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if err := agg.Feed(r); err != nil {
-			return err
-		}
-	}
 }

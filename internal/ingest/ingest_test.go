@@ -44,17 +44,23 @@ func testTrace(t testing.TB) *trace.Trace {
 	return tr
 }
 
-func processTraceReports(t testing.TB, tr *trace.Trace) []core.Report {
+// referenceReports is the record pipeline's independent reference:
+// the trace binned by trace.Aggregate and replayed as counts. The
+// detector sees only per-period counts, so the two must agree exactly.
+func referenceReports(t testing.TB, tr *trace.Trace) []core.Report {
 	t.Helper()
-	agent, err := core.NewAgent(core.Config{})
+	det, err := NewAgentDetector(core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reports, err := agent.ProcessTrace(tr)
+	pc, err := tr.Aggregate(20 * time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return reports
+	if err := ReplayCounts(det, pc); err != nil {
+		t.Fatal(err)
+	}
+	return det.Reports()
 }
 
 func compareReports(t *testing.T, got, want []core.Report) {
@@ -82,12 +88,12 @@ func runPipeline(t *testing.T, src Source, span time.Duration) []core.Report {
 	return det.Reports()
 }
 
-// TestPipelineMatchesProcessTrace pins the tentpole equivalence: the
-// streaming pipeline produces bit-identical reports to the materialized
-// ProcessTrace path, for every streaming format.
+// TestPipelineMatchesProcessTrace pins the pipeline's equivalence: for
+// every streaming format it produces reports bit-identical to the
+// counts replay of the materialized trace.
 func TestPipelineMatchesProcessTrace(t *testing.T) {
 	tr := testTrace(t)
-	want := processTraceReports(t, tr)
+	want := referenceReports(t, tr)
 	if len(want) == 0 {
 		t.Fatal("no reports from reference path")
 	}
@@ -118,7 +124,7 @@ func TestPipelineMatchesProcessTrace(t *testing.T) {
 
 	t.Run("pcap stream", func(t *testing.T) {
 		// Pcap timestamps truncate to microseconds, so the reference is
-		// ProcessTrace over the decoded pcap, not the original trace.
+		// built from the decoded pcap, not the original trace.
 		var buf bytes.Buffer
 		if err := trace.WritePcap(&buf, tr); err != nil {
 			t.Fatal(err)
@@ -128,7 +134,7 @@ func TestPipelineMatchesProcessTrace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pcapWant := processTraceReports(t, decoded)
+		pcapWant := referenceReports(t, decoded)
 
 		s, err := trace.NewPcapStream(bytes.NewReader(data))
 		if err != nil {
@@ -181,7 +187,7 @@ func TestPipelineAlarms(t *testing.T) {
 // source, ends with reports bit-identical to an uninterrupted run.
 func TestPipelineResume(t *testing.T) {
 	tr := testTrace(t)
-	want := processTraceReports(t, tr)
+	want := referenceReports(t, tr)
 
 	// First half: process the clipped trace, snapshot, restore.
 	half := *tr
@@ -191,7 +197,8 @@ func TestPipelineResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := agent.ProcessTrace(&half); err != nil {
+	first := &Pipeline{Source: NewTraceSource(&half), Detector: WrapAgent(agent), T0: 20 * time.Second}
+	if err := first.Run(); err != nil {
 		t.Fatal(err)
 	}
 	restored, err := core.RestoreAgent(agent.Snapshot())
@@ -211,10 +218,10 @@ func TestPipelineResume(t *testing.T) {
 }
 
 // TestChanSource drives the pipeline from a producer goroutine — the
-// live-capture shape — and checks equivalence with the batch path.
+// live-capture shape — and checks it against the counts reference.
 func TestChanSource(t *testing.T) {
 	tr := testTrace(t)
-	want := processTraceReports(t, tr)
+	want := referenceReports(t, tr)
 
 	src := NewChanSource(64)
 	go func() {
@@ -274,8 +281,9 @@ func TestIPTraceSource(t *testing.T) {
 	}
 }
 
-// TestReplayCountsMatchesProcessCounts pins the counts fast path on
-// the unified interface.
+// TestReplayCountsMatchesProcessCounts pins the counts replay on the
+// unified interface: it closes each period exactly as loading the
+// agent's sniffers by hand through LoadPeriod does.
 func TestReplayCountsMatchesProcessCounts(t *testing.T) {
 	tr := testTrace(t)
 	pc, err := tr.Aggregate(20 * time.Second)
@@ -287,10 +295,11 @@ func TestReplayCountsMatchesProcessCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := agent.ProcessCounts(pc)
-	if err != nil {
-		t.Fatal(err)
+	for i := range pc.OutSYN {
+		agent.LoadPeriod(core.PeriodCounts{SYN: uint64(pc.OutSYN[i])},
+			core.PeriodCounts{SYNACK: uint64(pc.InSYNACK[i])}, pc.T0*time.Duration(i+1))
 	}
+	want := agent.Reports()
 
 	det, err := NewAgentDetector(core.Config{})
 	if err != nil {
@@ -363,13 +372,13 @@ func TestPipelineErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := agg.Feed(trace.Record{Ts: 30 * time.Second}); err != nil {
+	if err := agg.FeedBatch([]trace.Record{{Ts: 30 * time.Second}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := agg.Feed(trace.Record{Ts: 10 * time.Second}); err == nil {
+	if err := agg.FeedBatch([]trace.Record{{Ts: 10 * time.Second}}); err == nil {
 		t.Error("want error for out-of-order record")
 	}
-	if err := agg.Feed(trace.Record{Ts: 2 * time.Minute}); err == nil {
+	if err := agg.FeedBatch([]trace.Record{{Ts: 2 * time.Minute}}); err == nil {
 		t.Error("want error for record outside span")
 	}
 

@@ -115,19 +115,15 @@ func TestSnapshotResumeEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := full.ProcessTrace(tr); err != nil {
-		t.Fatal(err)
-	}
+	replayTracker(t, full, tr)
 
 	half := *tr
-	half.Span = tr.Span / 2
+	half.ClipSpan(tr.Span / 2)
 	first, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := first.ProcessTrace(&half); err != nil {
-		t.Fatal(err)
-	}
+	replayTracker(t, first, &half)
 	data, err := first.Snapshot().Encode()
 	if err != nil {
 		t.Fatal(err)
@@ -140,9 +136,7 @@ func TestSnapshotResumeEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := resumed.ProcessTrace(tr); err != nil {
-		t.Fatal(err)
-	}
+	replayTracker(t, resumed, tr)
 
 	wantBytes, err := full.Snapshot().Encode()
 	if err != nil {

@@ -323,6 +323,13 @@ func (s *shard) admit(id addrKey, done int, cfg *Config) *keyState {
 	return st
 }
 
+// feedOp is one pre-keyed observation: a SYN for key (synAck=false)
+// or a SYN/ACK toward key (synAck=true).
+type feedOp struct {
+	key    addrKey
+	synAck bool
+}
+
 // applyLocked folds one pre-keyed op into the shard. Callers hold the
 // shard lock; done is the tracker's completed-period clock, stable for
 // a whole batch because period closes are excluded while one is in
@@ -838,45 +845,4 @@ func compareRank(alarmed bool, y float64, count uint64, key netip.Prefix, b *Sou
 		return c
 	}
 	return key.Bits() - b.Key.Bits()
-}
-
-// ProcessTrace replays a recorded trace through the tracker with the
-// same skip/boundary/tail mechanics as core.Agent.ProcessTrace (and
-// the ingest.Aggregator): resume-aware leading-period skip, a period
-// boundary every Agent.T0, trailing partial period discarded.
-func (t *Tracker) ProcessTrace(tr *trace.Trace) error {
-	t0 := t.cfg.Agent.T0
-	if tr.Span <= 0 {
-		return errors.New("sourcetrack: trace has no span")
-	}
-	periods := int(tr.Span / t0)
-	if periods == 0 {
-		return fmt.Errorf("sourcetrack: trace span %v shorter than one period %v", tr.Span, t0)
-	}
-	done := t.Periods()
-	if done >= periods {
-		return nil
-	}
-	resumed := t0 * time.Duration(done)
-	next := resumed + t0
-	for _, r := range tr.Records {
-		if r.Ts < resumed {
-			continue // counted before the snapshot
-		}
-		for r.Ts >= next && done < periods {
-			t.ClosePeriod(done, next)
-			next += t0
-			done++
-		}
-		if done >= periods {
-			break
-		}
-		t.Observe(r)
-	}
-	for done < periods {
-		t.ClosePeriod(done, next)
-		next += t0
-		done++
-	}
-	return nil
 }

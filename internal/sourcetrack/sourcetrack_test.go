@@ -59,6 +59,36 @@ func filterForKey(tr *trace.Trace, tk *Tracker, key netip.Prefix) *trace.Trace {
 	return out
 }
 
+// trackerClock is a detector that decides nothing: its period count is
+// the tracker's, so a pipeline carrying the tracker on its record tap
+// resumes where the tracker's own clock stands.
+type trackerClock struct{ tk *Tracker }
+
+func (c trackerClock) Period(p ingest.Period) core.Report {
+	return core.Report{Index: p.Index, End: p.End}
+}
+func (c trackerClock) Periods() int            { return c.tk.Periods() }
+func (c trackerClock) Reports() []core.Report  { return nil }
+func (c trackerClock) Alarmed() bool           { return false }
+func (c trackerClock) FirstAlarm() *core.Alarm { return nil }
+func (c trackerClock) KBar() float64           { return 0 }
+func (c trackerClock) Name() string            { return "tracker-clock" }
+
+// replayTracker streams tr through the ingest pipeline with tk on the
+// record tap.
+func replayTracker(t *testing.T, tk *Tracker, tr *trace.Trace) {
+	t.Helper()
+	p := &ingest.Pipeline{
+		Source:   ingest.NewTraceSource(tr),
+		Detector: trackerClock{tk},
+		T0:       tk.Config().Agent.T0,
+		Tap:      tk,
+	}
+	if err := p.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestKeyedEquivalencePerKeyAgents pins the package's core claim: a
 // single-shard keyed run is bit-identical to running one core.Agent
 // per key over the key's pre-filtered records — including keys first
@@ -91,9 +121,7 @@ func TestKeyedEquivalencePerKeyAgents(t *testing.T) {
 			tk.OnReport = func(key netip.Prefix, r core.Report) {
 				perKey[key] = append(perKey[key], r)
 			}
-			if err := tk.ProcessTrace(tr); err != nil {
-				t.Fatal(err)
-			}
+			replayTracker(t, tk, tr)
 			if st := tk.Stats(); st.Evicted != 0 {
 				t.Fatalf("equivalence run must be eviction-free, got %d evictions", st.Evicted)
 			}
@@ -113,10 +141,15 @@ func TestKeyedEquivalencePerKeyAgents(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := agent.ProcessTrace(filterForKey(tr, tk, key))
-				if err != nil {
+				ref := &ingest.Pipeline{
+					Source:   ingest.NewTraceSource(filterForKey(tr, tk, key)),
+					Detector: ingest.WrapAgent(agent),
+					T0:       agent.Config().T0,
+				}
+				if err := ref.Run(); err != nil {
 					t.Fatalf("key %v: %v", key, err)
 				}
+				want := agent.Reports()
 				for _, got := range reports {
 					if got.Index >= len(want) {
 						t.Fatalf("key %v: report index %d beyond agent's %d periods", key, got.Index, len(want))
@@ -155,9 +188,7 @@ func TestKeyedEquivalencePerKeyAgents(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := sharded.ProcessTrace(tr); err != nil {
-				t.Fatal(err)
-			}
+			replayTracker(t, sharded, tr)
 			if a, b := tk.Snapshot(), sharded.Snapshot(); !reflect.DeepEqual(a, b) {
 				t.Fatalf("sharded snapshot differs from single-shard snapshot")
 			}

@@ -295,10 +295,32 @@ func (t *Trace) Aggregate(t0 time.Duration) (*PeriodCounts, error) {
 	return pc, nil
 }
 
-// AggregateLastMile bins the trace into the victim-side pairing the
-// last-mile agent consumes: OutSYN[i] holds the period's connection
-// openings (incoming SYNs) and InSYNACK[i] its closings (outgoing FINs
-// and RSTs), matching core.LastMileAgent.Observe's counter mapping.
+// AggregateLastMile bins the trace into the victim-side pairing of the
+// "Last-mile Sniffer" of Figure 6 and the companion SYN-FIN detection
+// mechanism: at the router in front of a server farm it pairs incoming
+// SYNs (connections opening) against outgoing FINs and RSTs
+// (connections closing). OutSYN[i] holds the period's openings and
+// InSYNACK[i] its closings, so a plain core.Agent fed these counts
+// (ingest.ReplayCounts) sees Δn = openings − closings and its K̄
+// tracks the closing rate. RSTs count as closes too, so reset-heavy
+// benign traffic does not look like a flood. Under normal operation
+// every connection that opens eventually closes, so the normalized
+// difference is small; a flood opens half-connections that never
+// close, so the difference accumulates exactly like the source-side
+// statistic.
+//
+// The trade-off the two deployments embody (and the reason the paper
+// champions the first mile): the last-mile agent sees the *aggregate*
+// flood — high sensitivity, but the sources remain unknown and IP
+// traceback is still needed; the first-mile agent sees only its own
+// stub's slice V/A, but an alarm *is* the source location. The
+// ablation experiment "ablation-lastmile" quantifies this.
+//
+// Unlike SYN-SYN/ACK pairing (matched within one RTT), a FIN trails
+// its SYN by the whole connection lifetime, so {Xn} here is noisier
+// at short observation periods; the same non-parametric CUSUM absorbs
+// that because only the mean shift matters (a few warm-up periods,
+// core.Config.WarmupPeriods, let K̄ prime first).
 func (t *Trace) AggregateLastMile(t0 time.Duration) (*PeriodCounts, error) {
 	if t0 <= 0 {
 		return nil, errors.New("trace: non-positive observation period")
