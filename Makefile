@@ -20,8 +20,11 @@ build:
 build-live:
 	$(GO) build -tags live ./...
 
+# perfbench is a separate module that `./...` skips, yet it drives the
+# daemon and ingest APIs; vetting it here compile-checks that surface.
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 
 test:
 	$(GO) test ./...

@@ -14,7 +14,8 @@
 //	GET /reports  -> JSON array of per-period reports
 //	GET /sources  -> JSON ranked per-source attribution (with -track-sources)
 //	GET /summaries-> JSON censored per-period summaries, the uplink wire form (?from=N)
-//	GET /metrics  -> Prometheus-style text exposition (incl. period/checkpoint latency histograms)
+//	GET /metrics  -> Prometheus text exposition, rendered by internal/metrics (incl. period/checkpoint
+//	                 latency histograms; the period histogram counts every close, live agents included)
 //
 // With more than one agent the plane grows per-agent routing:
 //
@@ -30,7 +31,9 @@
 // With -uplink every agent POSTs its per-period summaries — censored
 // to the wire form by -uplink-censor/-uplink-topk — to a syndogfusion
 // coordinator, batched and bounded so a slow or dead coordinator never
-// stalls replay (drops are counted at syndog_uplink_dropped_total).
+// stalls replay; /metrics then ends with the process-wide
+// syndog_uplink_sent_total, syndog_uplink_dropped_total and
+// syndog_uplink_failures_total counters.
 //
 // Usage:
 //

@@ -34,12 +34,12 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
+	"repro/internal/daemon"
 	"repro/internal/fusion"
 )
 
@@ -84,7 +84,7 @@ func run(args []string) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	srv := &http.Server{Addr: *listen, Handler: c.Handler()}
+	srv := daemon.NewHTTPServer(*listen, c.Handler())
 	errc := make(chan error, 1)
 	go func() {
 		fmt.Fprintf(os.Stderr, "syndogfusion: listening on %s\n", *listen)

@@ -73,9 +73,9 @@ func (s *Supervisor) writeBundle(buf *bytes.Buffer) error {
 		if err := addJSON(dir+"sources.json", d.Sources(bundleSourceRows, 0)); err != nil {
 			return err
 		}
-		rec := newMetricsRecorder()
-		writeMetrics(rec, d.Status())
-		if err := addFile(dir+"metrics.txt", rec.buf.Bytes()); err != nil {
+		var metricsText bytes.Buffer
+		writeMetrics(&metricsText, []agentStatus{{Status: d.Status()}})
+		if err := addFile(dir+"metrics.txt", metricsText.Bytes()); err != nil {
 			return err
 		}
 		if cusum {
@@ -92,16 +92,3 @@ func (s *Supervisor) writeBundle(buf *bytes.Buffer) error {
 	}
 	return gz.Close()
 }
-
-// metricsRecorder adapts writeMetrics's http.ResponseWriter parameter
-// to an in-memory buffer for the bundle.
-type metricsRecorder struct {
-	buf    bytes.Buffer
-	header http.Header
-}
-
-func newMetricsRecorder() *metricsRecorder { return &metricsRecorder{header: make(http.Header)} }
-
-func (m *metricsRecorder) Header() http.Header         { return m.header }
-func (m *metricsRecorder) WriteHeader(int)             {}
-func (m *metricsRecorder) Write(p []byte) (int, error) { return m.buf.Write(p) }

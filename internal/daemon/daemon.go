@@ -1,7 +1,7 @@
 // Package daemon is the hardened operational core shared by the
 // long-lived SYN-dog binaries (cmd/syndogd, cmd/syndogfleet): capture
-// replay through an ingest pipeline — instant or paced against
-// absolute wall-clock deadlines — live HTTP state, and durable
+// replay through an ingest pipeline — instant, paced against absolute
+// wall-clock deadlines, or live — live HTTP state, and durable
 // snapshot / checkpoint handling.
 //
 // The package exists to make the resume/replay path provably
@@ -15,17 +15,18 @@
 //     scheduler latency inside a period does not accumulate into the
 //     next (no chained time.After drift).
 //   - Replay failures are daemon state, surfaced via /status and
-//     /healthz (503) and returned from Serve so the process exits
+//     /healthz (503) and returned from Run so the process exits
 //     non-zero — never discarded.
 //   - Snapshots are durable (fsync before rename, directory fsync) and
 //     can be written periodically on a checkpoint interval, so a crash
 //     loses at most one interval of evidence.
 //
 // Replay runs on the ingest pipeline: any ingest.Source (in-memory
-// trace, streaming binary/CSV/pcap/iptrace file) feeds any
-// ingest.Detector (the paper's CUSUM agent or a baseline) through an
-// ingest.Aggregator, so a daemon over a multi-gigabyte pcap holds one
-// record and four counters in memory, never the capture.
+// trace, streaming binary/CSV/pcap/iptrace file, live capture) feeds
+// any ingest.Detector (the paper's CUSUM agent or a baseline) through
+// one ingest.Aggregator in one replay loop — instant, paced or live —
+// so a daemon over a multi-gigabyte pcap holds one record chunk and
+// four counters in memory, never the capture.
 package daemon
 
 import (
@@ -33,14 +34,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"os"
 	"sync"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/ingest"
+	"repro/internal/metrics"
 	"repro/internal/sourcetrack"
 	"repro/internal/summary"
 	"repro/internal/trace"
@@ -57,7 +57,7 @@ type Options struct {
 	// StatePath, when non-empty, is where Checkpoint and SaveState
 	// persist the agent snapshot.
 	StatePath string
-	// CheckpointInterval enables periodic snapshots during Serve when
+	// CheckpointInterval enables periodic snapshots during Run when
 	// positive and StatePath is set. Zero disables checkpointing; the
 	// final snapshot on shutdown is written regardless.
 	CheckpointInterval time.Duration
@@ -117,6 +117,22 @@ type Daemon struct {
 	done         bool
 	replayErr    error
 
+	// midPeriod is set while the open period has counted records and
+	// cleared when it closes or the replay exits. The keyed tracker
+	// counts records as they arrive, so a snapshot taken mid-period
+	// would count them again on resume, and a bounded replay honours
+	// cancellation only between periods. A checkpoint that finds a
+	// period half-fed sets ckptWant and waits on boundary; the replay
+	// goroutine captures the state into ckptState (ckptErr) at the next
+	// close, or at its exit, under the same lock hold, then bumps
+	// ckptSeq. The replay never has to yield the lock at the boundary.
+	midPeriod bool
+	boundary  *sync.Cond
+	ckptWant  bool
+	ckptSeq   int
+	ckptState State
+	ckptErr   error
+
 	// summaries is the per-period summary store — the single code path
 	// every per-period consumer (/reports, /status, /metrics,
 	// /summaries, the uplink) reads. Resumed history is backfilled at
@@ -125,8 +141,8 @@ type Daemon struct {
 	summarizer *summary.Summarizer
 	summaries  []summary.PeriodSummary
 
-	periodLatency     latencyHist // agg.ClosePeriod wall time per period
-	checkpointLatency latencyHist // SaveState wall time per checkpoint attempt
+	periodLatency     metrics.Histogram // agg.ClosePeriod wall time per period
+	checkpointLatency metrics.Histogram // SaveState wall time per checkpoint attempt
 
 	checkpoints        int
 	lastCheckpoint     time.Time
@@ -163,23 +179,52 @@ func New(agent *core.Agent, tr *trace.Trace, opts Options) (*Daemon, error) {
 //
 // Unlike New, the source's records are validated as they stream:
 // unordered or out-of-span records fail the replay (surfacing via
-// /healthz and Serve's error) rather than failing construction.
+// /healthz and Replay's error) rather than failing construction.
 func NewStream(det ingest.Detector, src ingest.Source, info ingest.Info, t0 time.Duration, opts Options) (*Daemon, error) {
+	return newDaemon(det, src, info, t0, false, opts)
+}
+
+// NewLive builds a daemon over a live source — a capture.Source on an
+// interface or pcap pipe, or any other ingest.Source whose span is
+// unknowable up front. There is no fixed period count and no pacing:
+// records arrive in real time and a period closes when the first
+// record of the next one crosses the boundary (a completely quiet
+// period closes only when traffic resumes). Replay ends when the
+// source does — never for an interface, at stream end for a pipe —
+// with the complete periods the stream spanned closed, exactly as a
+// bounded replay of the same capture closes them.
+//
+// Resume still works: a detector restored with N periods makes the
+// aggregator skip records timestamped inside them, which is exactly
+// right for replaying a capture file through the live path and
+// meaningless-but-harmless for a freshly-rebased interface feed (whose
+// operator should start with fresh state).
+func NewLive(det ingest.Detector, src ingest.Source, name string, t0 time.Duration, opts Options) (*Daemon, error) {
+	return newDaemon(det, src, ingest.Info{Name: name, Records: -1}, t0, true, opts)
+}
+
+// newDaemon is the constructor body NewStream and NewLive share. A
+// bounded source must span at least one period and at least the
+// detector's resumed history; a live one has no span to check.
+func newDaemon(det ingest.Detector, src ingest.Source, info ingest.Info, t0 time.Duration, live bool, opts Options) (*Daemon, error) {
 	opts.applyDefaults()
 	if t0 <= 0 {
 		return nil, fmt.Errorf("daemon: non-positive observation period %v", t0)
 	}
-	if info.Span <= 0 {
-		return nil, fmt.Errorf("daemon: trace %q has no span", info.Name)
-	}
-	periods := int(info.Span / t0)
-	if periods == 0 {
-		return nil, fmt.Errorf("daemon: trace %q span %v shorter than one period %v", info.Name, info.Span, t0)
-	}
 	resume := det.Periods()
-	if resume > periods {
-		return nil, fmt.Errorf("daemon: snapshot holds %d periods but trace %q spans only %d — wrong trace or state file",
-			resume, info.Name, periods)
+	periods := 0
+	if !live {
+		if info.Span <= 0 {
+			return nil, fmt.Errorf("daemon: trace %q has no span", info.Name)
+		}
+		periods = int(info.Span / t0)
+		if periods == 0 {
+			return nil, fmt.Errorf("daemon: trace %q span %v shorter than one period %v", info.Name, info.Span, t0)
+		}
+		if resume > periods {
+			return nil, fmt.Errorf("daemon: snapshot holds %d periods but trace %q spans only %d — wrong trace or state file",
+				resume, info.Name, periods)
+		}
 	}
 	if opts.Tracker != nil && opts.Tracker.Periods() != resume {
 		return nil, fmt.Errorf("daemon: keyed state holds %d periods but detector holds %d — mismatched snapshot halves",
@@ -193,56 +238,11 @@ func NewStream(det ingest.Detector, src ingest.Source, info ingest.Info, t0 time
 		srcRecords:   info.Records,
 		t0:           t0,
 		span:         info.Span,
+		live:         live,
 		resumeOffset: resume,
 		totalPeriods: periods,
 	}
-	if ad, ok := det.(*ingest.AgentDetector); ok {
-		d.agent = ad.Agent()
-	}
-	d.summarizer = &summary.Summarizer{
-		Monitor: opts.Monitor,
-		Cfg:     opts.Summary,
-		Tracker: opts.Tracker,
-	}
-	d.summaries = d.summarizer.Backfill(det.Reports())
-	return d, nil
-}
-
-// NewLive builds a daemon over a live source — a capture.Source on an
-// interface or pcap pipe, or any other ingest.Source whose span is
-// unknowable up front. There is no fixed period count and no pacing:
-// records arrive in real time and the aggregator closes a period when
-// the first record of the next one crosses the boundary (a completely
-// quiet period closes only when traffic resumes). Replay ends when the
-// source does — never for an interface, at stream end for a pipe —
-// with the trailing partial period closed so a finite live feed
-// accounts for every record.
-//
-// Resume still works: a detector restored with N periods makes the
-// aggregator skip records timestamped inside them, which is exactly
-// right for replaying a capture file through the live path and
-// meaningless-but-harmless for a freshly-rebased interface feed (whose
-// operator should start with fresh state).
-func NewLive(det ingest.Detector, src ingest.Source, name string, t0 time.Duration, opts Options) (*Daemon, error) {
-	opts.applyDefaults()
-	if t0 <= 0 {
-		return nil, fmt.Errorf("daemon: non-positive observation period %v", t0)
-	}
-	resume := det.Periods()
-	if opts.Tracker != nil && opts.Tracker.Periods() != resume {
-		return nil, fmt.Errorf("daemon: keyed state holds %d periods but detector holds %d — mismatched snapshot halves",
-			opts.Tracker.Periods(), resume)
-	}
-	d := &Daemon{
-		opts:         opts,
-		det:          det,
-		src:          src,
-		srcName:      name,
-		srcRecords:   -1,
-		t0:           t0,
-		live:         true,
-		resumeOffset: resume,
-	}
+	d.boundary = sync.NewCond(&d.mu)
 	if ad, ok := det.(*ingest.AgentDetector); ok {
 		d.agent = ad.Agent()
 	}
@@ -286,13 +286,15 @@ func (d *Daemon) TotalPeriods() int { return d.totalPeriods }
 // already covered by the detector's history. speed <= 0 replays
 // instantly; a positive speed replays that many trace seconds per wall
 // second, pacing each period boundary against an absolute deadline
-// derived from the replay start instant. The returned error is also
-// recorded in daemon state (visible via /status and /healthz) unless
-// it is the context's cancellation.
+// derived from the replay start instant. A live source ignores speed:
+// it already arrives in real time. The returned error is also recorded
+// in daemon state (visible via /status and /healthz) unless it is the
+// context's cancellation.
 func (d *Daemon) Replay(ctx context.Context, speed float64) error {
 	err := d.replay(ctx, speed)
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	d.atBoundaryLocked()
 	switch {
 	case err == nil:
 		d.done = true
@@ -304,10 +306,16 @@ func (d *Daemon) Replay(ctx context.Context, speed float64) error {
 	return err
 }
 
+// replay is the one replay loop, in three modes: instant and paced
+// over a bounded source, and live. Every mode folds each period's
+// records, then closes the period through the one timed
+// agg.ClosePeriod; only paced mode waits for the period's deadline
+// first. A bounded replay closes exactly the periods its span holds —
+// empty ones too, once the source runs dry — and never reads past the
+// last complete one. A live replay's aggregator is unbounded (span 0):
+// it closes a period when a record crosses its boundary and, when the
+// stream ends, the complete periods out to the stream's span.
 func (d *Daemon) replay(ctx context.Context, speed float64) error {
-	if d.live {
-		return d.replayLive(ctx)
-	}
 	// The summarizer tap is the single emission path for closed
 	// periods: it folds the tracker (when present), builds the period's
 	// summary from the detector's report, and hands it to emitSummary —
@@ -323,72 +331,89 @@ func (d *Daemon) replay(ctx context.Context, speed float64) error {
 		return err
 	}
 	agg.SetTap(tap)
+	if d.live {
+		speed = 0
+		// A live source blocks on a quiet wire; cancellation must close
+		// it to unblock the read, not just set a flag the loop never
+		// reaches.
+		stopClose := context.AfterFunc(ctx, func() { _ = d.src.Close() })
+		defer stopClose()
+	}
 
 	// Chunked lookahead over the source: records land in one chunk
-	// buffer and buf[pos:n] is the unconsumed window. The paced loop cuts each
-	// chunk at the period boundary, so a period closes at its wall-clock
-	// deadline without consuming the first record of the following one —
-	// the batch generalization of the old one-record peek.
+	// buffer and buf[pos:n] is the unconsumed window.
 	bs := ingest.AsBatch(d.src)
 	buf := make([]trace.Record, ingest.DefaultChunk)
 	var (
 		pos, n  int
 		srcDone bool
 	)
-	// fill refills the window when it is empty; reads run without d.mu
-	// held, so a slow source never stalls the HTTP plane.
-	fill := func() error {
-		if srcDone || pos < n {
-			return nil
-		}
-		pos, n = 0, 0
-		for !srcDone && n == 0 {
-			m, err := bs.NextBatch(buf)
-			n = m
-			if err == io.EOF {
-				srcDone = true
-			} else if err != nil {
-				return err
+	// feedUntil folds the records stamped before limit into the
+	// aggregator, refilling the window as it empties, and stops at the
+	// first record at or past limit — which stays in the window — or at
+	// source end. Reads run without d.mu held, so a slow source never
+	// stalls the HTTP plane, and until the open period counts a record
+	// the context is checked once per chunk, so an unpaced drain of a
+	// multi-gigabyte resume prefix stays interruptible.
+	feedUntil := func(limit time.Duration) error {
+		for {
+			if !d.midPeriod {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
 			}
-		}
-		return nil
-	}
-
-	// Records inside already-reported periods were counted before the
-	// snapshot was taken; replaying them would double-count, so the
-	// aggregator drops them. Drain them before pacing starts so the
-	// skip counter is complete when the first period opens.
-	resumeStart := d.t0 * time.Duration(d.resumeOffset)
-	for {
-		// The drain is unpaced and can cover a multi-gigabyte prefix; it
-		// must stay interruptible (one check per chunk) or the daemon
-		// ignores SIGTERM until every skipped record has been read.
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if err := fill(); err != nil {
-			return err
-		}
-		if pos >= n {
-			break // source exhausted inside the resume prefix
-		}
-		cut := pos
-		for cut < n && buf[cut].Ts < resumeStart {
-			cut++
-		}
-		if cut > pos {
+			if pos == n {
+				if srcDone {
+					return nil
+				}
+				m, err := bs.NextBatch(buf)
+				pos, n = 0, m
+				if err == io.EOF {
+					srcDone = true
+				} else if err != nil {
+					if cerr := ctx.Err(); cerr != nil {
+						// Cancellation closed the source out from under
+						// the read.
+						return cerr
+					}
+					return err
+				}
+				continue
+			}
+			cut := pos
+			for cut < n && buf[cut].Ts < limit {
+				cut++
+			}
+			if cut == pos {
+				return nil
+			}
 			d.mu.Lock()
 			err := agg.FeedBatch(buf[pos:cut])
-			d.skipped = agg.Skipped()
+			counted := agg.Records() - agg.Skipped()
+			d.midPeriod = d.midPeriod || counted > d.records
+			d.records, d.skipped = counted, agg.Skipped()
 			d.mu.Unlock()
 			if err != nil {
 				return err
 			}
 			pos = cut
 		}
-		if pos < n {
-			break // first live record reached; pacing takes over
-		}
+	}
+	closePeriod := func() {
+		d.mu.Lock()
+		start := time.Now()
+		agg.ClosePeriod()
+		d.periodLatency.Observe(time.Since(start).Seconds())
+		d.atBoundaryLocked()
+		d.mu.Unlock()
+	}
+
+	// Records inside already-reported periods were counted before the
+	// snapshot was taken; replaying them would double-count, so the
+	// aggregator drops them. Drain them before pacing starts so the
+	// skip counter is complete when the first period opens.
+	if err := feedUntil(d.t0 * time.Duration(d.resumeOffset)); err != nil {
+		return err
 	}
 
 	var (
@@ -406,7 +431,7 @@ func (d *Daemon) replay(ctx context.Context, speed float64) error {
 		defer timer.Stop()
 	}
 
-	for p := d.resumeOffset; p < d.totalPeriods; p++ {
+	for p := d.resumeOffset; d.live || p < d.totalPeriods; p++ {
 		if speed > 0 {
 			// Drift-free pacing: period p ends at an absolute deadline
 			// derived from the start instant. A late wakeup shortens
@@ -419,187 +444,70 @@ func (d *Daemon) replay(ctx context.Context, speed float64) error {
 				return ctx.Err()
 			case <-timer.C:
 			}
-		} else if err := ctx.Err(); err != nil {
+		}
+		if err := feedUntil(agg.NextBoundary()); err != nil {
 			return err
 		}
-		for {
-			if err := fill(); err != nil {
-				return err
-			}
-			if pos >= n {
-				break // source exhausted; remaining periods close empty
-			}
-			d.mu.Lock()
-			boundary := agg.NextBoundary()
-			cut := pos
-			for cut < n && buf[cut].Ts < boundary {
-				cut++
-			}
-			if cut > pos {
-				if err := agg.FeedBatch(buf[pos:cut]); err != nil {
-					d.mu.Unlock()
-					return err
-				}
-				pos = cut
-				d.records = agg.Records() - agg.Skipped()
-			}
-			if pos < n {
-				d.mu.Unlock()
-				break // head of the next period stays in the window
-			}
-			d.mu.Unlock()
+		if d.live && srcDone && pos == n {
+			break // the open period is the stream's trailing partial one
 		}
-		d.mu.Lock()
-		closeStart := time.Now()
-		agg.ClosePeriod()
-		d.periodLatency.observe(time.Since(closeStart).Seconds())
-		d.mu.Unlock()
+		closePeriod()
 	}
-	return nil
-}
+	if !d.live {
+		return nil
+	}
+	if err := ctx.Err(); err != nil {
+		return err // cancellation closed the source: it did not end
+	}
 
-// replayLive is the live-mode replay loop: no span, no pacing, no
-// period count. The aggregator runs unbounded (span 0) and closes
-// periods data-driven as record timestamps cross boundaries; the speed
-// knob is ignored because a live source already arrives in real time.
-func (d *Daemon) replayLive(ctx context.Context) error {
-	var inner summary.RecordTap
-	if d.opts.Tracker != nil {
-		inner = d.opts.Tracker
-	}
-	tap := summary.NewTap(d.summarizer, inner, d.emitSummary)
-	agg, err := ingest.NewAggregator(d.t0, 0, d.det, tap.Sink)
-	if err != nil {
-		return err
-	}
-	agg.SetTap(tap)
-
-	// A live source blocks on a quiet wire; cancellation must close it
-	// to unblock the read, not just set a flag the loop never reaches.
-	stopClose := context.AfterFunc(ctx, func() { _ = d.src.Close() })
-	defer stopClose()
-
-	bs := ingest.AsBatch(d.src)
-	buf := make([]trace.Record, ingest.DefaultChunk)
-	for {
-		n, err := bs.NextBatch(buf)
-		if n > 0 {
-			d.mu.Lock()
-			ferr := agg.FeedBatch(buf[:n])
-			d.records = agg.Records() - agg.Skipped()
-			d.skipped = agg.Skipped()
-			d.mu.Unlock()
-			if ferr != nil {
-				return ferr
-			}
-		}
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			if cerr := ctx.Err(); cerr != nil {
-				// The read failed because cancellation closed the
-				// source out from under it.
-				return cerr
-			}
-			return err
-		}
-	}
-	if cerr := ctx.Err(); cerr != nil {
-		return cerr
-	}
 	// A finite live feed (pcap pipe at EOF): close out the complete
-	// periods the stream spanned, exactly as the bounded path would
-	// have for the same capture — the trailing partial period stays
+	// periods the stream spanned, exactly as the bounded path would have
+	// for the same capture — the trailing partial period stays
 	// unreported on both paths, which is what keeps live pcap replay
 	// bit-identical to file replay. With no records counted beyond the
-	// resume point there is nothing to close.
+	// resume point, or no span of at least one period, there is nothing
+	// to close.
+	ss, ok := d.src.(ingest.SpanSource)
+	if !ok || agg.Records() <= agg.Skipped() || ss.Span() < d.t0 {
+		return nil
+	}
+	span := ss.Span()
+	for agg.Done() < int(span/d.t0) {
+		closePeriod()
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if agg.Records() <= agg.Skipped() {
-		return nil
-	}
-	span := time.Duration(0)
-	if ss, ok := d.src.(ingest.SpanSource); ok {
-		span = ss.Span()
-	}
-	if span < d.t0 {
-		// Source without a span (or shorter than one period): no
-		// complete period to close.
-		return nil
-	}
-	return agg.Finish(span)
+	return agg.Finish(span) // validates the span; every period is closed
 }
 
 // failReplay records err as the replay failure. It exists so tests can
-// exercise the error-surfacing machinery (healthz 503, status field,
-// Serve's non-zero return) without constructing a failing source.
+// exercise the error-surfacing machinery (healthz 503, status field)
+// without constructing a failing source.
 func (d *Daemon) failReplay(err error) {
 	d.mu.Lock()
 	d.replayErr = err
 	d.mu.Unlock()
 }
 
-// Serve starts the replay, the HTTP server, and (when configured) the
-// checkpoint loop, returning when ctx is cancelled, the listener
-// fails, or the replay fails. A replay failure shuts the server down
-// and is returned — the caller's process should exit non-zero.
-func (d *Daemon) Serve(ctx context.Context, listen string, speed float64) error {
-	ln, err := net.Listen("tcp", listen)
-	if err != nil {
-		return err
-	}
-	if d.srcRecords >= 0 {
-		fmt.Fprintf(d.opts.Log, "%s: serving on http://%s (trace %q, %d records, %d/%d periods done)\n",
-			d.opts.Name, ln.Addr(), d.srcName, d.srcRecords, d.resumeOffset, d.totalPeriods)
-	} else {
-		fmt.Fprintf(d.opts.Log, "%s: serving on http://%s (trace %q, streaming, %d/%d periods done)\n",
-			d.opts.Name, ln.Addr(), d.srcName, d.resumeOffset, d.totalPeriods)
-	}
-
-	srv := &http.Server{Handler: d.Handler()}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
-
-	replayDone := make(chan error, 1)
-	go func() { replayDone <- d.Replay(ctx, speed) }()
-
-	if d.opts.StatePath != "" && d.opts.CheckpointInterval > 0 {
-		go d.checkpointLoop(ctx)
-	}
-
-	shutdown := func() {
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-		defer cancel()
-		_ = srv.Shutdown(shutdownCtx)
-	}
-	for {
-		select {
-		case <-ctx.Done():
-			shutdown()
-			return ctx.Err()
-		case err := <-serveErr:
-			return err
-		case err := <-replayDone:
-			if err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-				shutdown()
-				return fmt.Errorf("replay: %w", err)
-			}
-			// Replay finished (or was cancelled with the context, which
-			// the ctx.Done arm reports): keep serving the final state.
-			replayDone = nil
-		}
-	}
-}
-
-// Run executes the replay and, when configured, the checkpoint loop —
-// Serve without the HTTP plane. The multi-agent supervisor serves many
-// daemons behind one shared listener and drives each with Run.
+// Run executes the replay and, when configured, the checkpoint loop.
+// The supervisor serves every daemon behind one shared listener and
+// drives each with Run.
+//
+// Run returns only once the checkpoint loop has exited: a periodic
+// checkpoint still in flight could otherwise rename an older snapshot
+// over the caller's final one.
 func (d *Daemon) Run(ctx context.Context, speed float64) error {
 	if d.opts.StatePath != "" && d.opts.CheckpointInterval > 0 {
 		cctx, cancel := context.WithCancel(ctx)
-		defer cancel()
-		go d.checkpointLoop(cctx)
+		loopDone := make(chan struct{})
+		go func() {
+			defer close(loopDone)
+			d.checkpointLoop(cctx)
+		}()
+		defer func() {
+			cancel()
+			<-loopDone
+		}()
 	}
 	return d.Replay(ctx, speed)
 }

@@ -3,6 +3,7 @@ package daemon
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/capture"
 	"repro/internal/core"
 	"repro/internal/ingest"
+	"repro/internal/metrics"
 	"repro/internal/sourcetrack"
 	"repro/internal/summary"
 )
@@ -54,11 +56,11 @@ type Status struct {
 
 	// PeriodLatency and CheckpointLatency are histogram snapshots
 	// backing the /metrics latency families. They ride on Status so the
-	// metrics renderers stay pure functions of one consistent state
+	// metrics renderer stays a pure function of one consistent state
 	// capture, but they are deliberately not part of the /status JSON
 	// contract.
-	PeriodLatency     LatencySnapshot `json:"-"`
-	CheckpointLatency LatencySnapshot `json:"-"`
+	PeriodLatency     metrics.Histogram `json:"-"`
+	CheckpointLatency metrics.Histogram `json:"-"`
 }
 
 // CaptureStatus is the live capture accounting inside Status: how many
@@ -95,8 +97,8 @@ func (d *Daemon) Status() Status {
 		Checkpoints:        d.checkpoints,
 		CheckpointFailures: d.checkpointFailures,
 		T0:                 d.t0,
-		PeriodLatency:      d.periodLatency.snapshot(),
-		CheckpointLatency:  d.checkpointLatency.snapshot(),
+		PeriodLatency:      d.periodLatency,
+		CheckpointLatency:  d.checkpointLatency,
 	}
 	if dc, ok := d.src.(ingest.DropCounter); ok {
 		s.RecordsDropped = dc.Dropped()
@@ -311,154 +313,132 @@ func (d *Daemon) Handler() http.Handler {
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		writeMetrics(w, d.Status())
+		writeMetrics(w, []agentStatus{{Status: d.Status()}})
 	})
 	return mux
 }
 
-// metricDef is one exposition line pair: its TYPE header and how to
+// metricDef is one scalar metric family: its name and TYPE, and how to
 // render a Status into its sample value. present gates metrics that
 // are only meaningful sometimes (checkpoint age before the first
 // checkpoint would be a lie, not a zero).
 type metricDef struct {
 	name, typ string
-	value     func(Status) string
+	value     func(Status) metrics.Value
 	present   func(Status) bool // nil = always
-}
-
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // capField reads one capture counter off a Status, zero when the
 // source has no capture accounting (file replays).
-func capField(s Status, f func(CaptureStatus) uint64) uint64 {
-	if s.Capture == nil {
-		return 0
+func capField(s Status, f func(CaptureStatus) uint64) metrics.Value {
+	var c CaptureStatus
+	if s.Capture != nil {
+		c = *s.Capture
 	}
-	return f(*s.Capture)
+	return metrics.Int(f(c))
 }
 
 // metricDefs is the exposition, in order. Metric names and the
 // rendered format are a public contract (dashboards scrape them); the
-// golden test pins the single-agent form byte for byte, and the
-// labeled multi-agent form renders the same table with one sample per
-// agent.
+// goldens pin the single-agent and the labeled multi-agent forms byte
+// for byte.
 var metricDefs = []metricDef{
-	{"syndog_periods_total", "counter", func(s Status) string { return fmt.Sprintf("%d", s.Periods) }, nil},
-	{"syndog_kbar", "gauge", func(s Status) string { return fmt.Sprintf("%g", s.KBar) }, nil},
-	{"syndog_statistic", "gauge", func(s Status) string { return fmt.Sprintf("%g", s.Statistic) }, nil},
-	{"syndog_alarmed", "gauge", func(s Status) string { return fmt.Sprintf("%d", b2i(s.Alarmed)) }, nil},
+	{"syndog_periods_total", "counter", func(s Status) metrics.Value { return metrics.Int(s.Periods) }, nil},
+	{"syndog_kbar", "gauge", func(s Status) metrics.Value { return metrics.Float(s.KBar) }, nil},
+	{"syndog_statistic", "gauge", func(s Status) metrics.Value { return metrics.Float(s.Statistic) }, nil},
+	{"syndog_alarmed", "gauge", func(s Status) metrics.Value { return metrics.Bool(s.Alarmed) }, nil},
 
 	// Replay progress and volume.
-	{"syndog_replay_progress", "gauge", func(s Status) string {
+	{"syndog_replay_progress", "gauge", func(s Status) metrics.Value {
 		progress := 0.0
 		if s.TotalPeriods > 0 {
 			progress = float64(s.Periods) / float64(s.TotalPeriods)
 		}
-		return fmt.Sprintf("%g", progress)
+		return metrics.Float(progress)
 	}, nil},
-	{"syndog_replay_done", "gauge", func(s Status) string { return fmt.Sprintf("%d", b2i(s.ReplayDone)) }, nil},
-	{"syndog_replay_failed", "gauge", func(s Status) string { return fmt.Sprintf("%d", b2i(s.ReplayError != "")) }, nil},
-	{"syndog_records_processed_total", "counter", func(s Status) string { return fmt.Sprintf("%d", s.RecordsProcessed) }, nil},
-	{"syndog_records_skipped_total", "counter", func(s Status) string { return fmt.Sprintf("%d", s.RecordsSkipped) }, nil},
+	{"syndog_replay_done", "gauge", func(s Status) metrics.Value { return metrics.Bool(s.ReplayDone) }, nil},
+	{"syndog_replay_failed", "gauge", func(s Status) metrics.Value { return metrics.Bool(s.ReplayError != "") }, nil},
+	{"syndog_records_processed_total", "counter", func(s Status) metrics.Value { return metrics.Int(s.RecordsProcessed) }, nil},
+	{"syndog_records_skipped_total", "counter", func(s Status) metrics.Value { return metrics.Int(s.RecordsSkipped) }, nil},
 	// Backpressure loss on live feeds (ChanSource drop mode); always 0
 	// for file replays. Emitted unconditionally so wiring a live source
 	// never changes the exposition's line set.
-	{"syndog_records_dropped_total", "counter", func(s Status) string { return fmt.Sprintf("%d", s.RecordsDropped) }, nil},
+	{"syndog_records_dropped_total", "counter", func(s Status) metrics.Value { return metrics.Int(s.RecordsDropped) }, nil},
 
 	// Live capture accounting (capture.Source): frames seen, records
 	// parsed, frames the classifier skipped, records shed at a full
 	// ring, frames the kernel dropped before this process saw them.
 	// Emitted unconditionally (zeros for file replays) so switching an
 	// agent to a live: input never changes the exposition's line set.
-	{"syndog_capture_frames_total", "counter", func(s Status) string {
-		return fmt.Sprintf("%d", capField(s, func(c CaptureStatus) uint64 { return c.Frames }))
+	{"syndog_capture_frames_total", "counter", func(s Status) metrics.Value {
+		return capField(s, func(c CaptureStatus) uint64 { return c.Frames })
 	}, nil},
-	{"syndog_capture_records_total", "counter", func(s Status) string {
-		return fmt.Sprintf("%d", capField(s, func(c CaptureStatus) uint64 { return c.Parsed }))
+	{"syndog_capture_records_total", "counter", func(s Status) metrics.Value {
+		return capField(s, func(c CaptureStatus) uint64 { return c.Parsed })
 	}, nil},
-	{"syndog_capture_skipped_total", "counter", func(s Status) string {
-		return fmt.Sprintf("%d", capField(s, func(c CaptureStatus) uint64 { return c.Skipped }))
+	{"syndog_capture_skipped_total", "counter", func(s Status) metrics.Value {
+		return capField(s, func(c CaptureStatus) uint64 { return c.Skipped })
 	}, nil},
-	{"syndog_capture_ring_drops_total", "counter", func(s Status) string {
-		return fmt.Sprintf("%d", capField(s, func(c CaptureStatus) uint64 { return c.RingDropped }))
+	{"syndog_capture_ring_drops_total", "counter", func(s Status) metrics.Value {
+		return capField(s, func(c CaptureStatus) uint64 { return c.RingDropped })
 	}, nil},
-	{"syndog_capture_kernel_drops_total", "counter", func(s Status) string {
-		return fmt.Sprintf("%d", capField(s, func(c CaptureStatus) uint64 { return c.KernelDropped }))
+	{"syndog_capture_kernel_drops_total", "counter", func(s Status) metrics.Value {
+		return capField(s, func(c CaptureStatus) uint64 { return c.KernelDropped })
 	}, nil},
-	{"syndog_resume_offset_periods", "gauge", func(s Status) string { return fmt.Sprintf("%d", s.ResumeOffset) }, nil},
+	{"syndog_resume_offset_periods", "gauge", func(s Status) metrics.Value { return metrics.Int(s.ResumeOffset) }, nil},
 
 	// Last completed period's raw counts: the pair whose difference
 	// drives the detector.
-	{"syndog_last_period_out_syn", "gauge", func(s Status) string { return fmt.Sprintf("%d", s.LastOutSYN) }, nil},
-	{"syndog_last_period_in_synack", "gauge", func(s Status) string { return fmt.Sprintf("%d", s.LastInSYNACK) }, nil},
+	{"syndog_last_period_out_syn", "gauge", func(s Status) metrics.Value { return metrics.Int(s.LastOutSYN) }, nil},
+	{"syndog_last_period_in_synack", "gauge", func(s Status) metrics.Value { return metrics.Int(s.LastInSYNACK) }, nil},
 
 	// Keyed source attribution. Emitted unconditionally (zeros when
 	// tracking is off) so enabling -track-sources never changes the
 	// exposition's line set.
-	{"syndog_sources_tracking", "gauge", func(s Status) string { return fmt.Sprintf("%d", b2i(s.Tracking)) }, nil},
-	{"syndog_sources_tracked", "gauge", func(s Status) string { return fmt.Sprintf("%d", s.SourcesTracked) }, nil},
-	{"syndog_sources_alarmed", "gauge", func(s Status) string { return fmt.Sprintf("%d", s.SourcesAlarmed) }, nil},
-	{"syndog_sources_evicted_total", "counter", func(s Status) string { return fmt.Sprintf("%d", s.SourcesEvicted) }, nil},
+	{"syndog_sources_tracking", "gauge", func(s Status) metrics.Value { return metrics.Bool(s.Tracking) }, nil},
+	{"syndog_sources_tracked", "gauge", func(s Status) metrics.Value { return metrics.Int(s.SourcesTracked) }, nil},
+	{"syndog_sources_alarmed", "gauge", func(s Status) metrics.Value { return metrics.Int(s.SourcesAlarmed) }, nil},
+	{"syndog_sources_evicted_total", "counter", func(s Status) metrics.Value { return metrics.Int(s.SourcesEvicted) }, nil},
 
 	// Durability: how stale the on-disk snapshot is. Age is only
 	// meaningful once a checkpoint has been written.
-	{"syndog_checkpoints_total", "counter", func(s Status) string { return fmt.Sprintf("%d", s.Checkpoints) }, nil},
-	{"syndog_checkpoint_failures_total", "counter", func(s Status) string { return fmt.Sprintf("%d", s.CheckpointFailures) }, nil},
-	{"syndog_checkpoint_age_seconds", "gauge", func(s Status) string { return fmt.Sprintf("%g", s.CheckpointAge.Seconds()) },
+	{"syndog_checkpoints_total", "counter", func(s Status) metrics.Value { return metrics.Int(s.Checkpoints) }, nil},
+	{"syndog_checkpoint_failures_total", "counter", func(s Status) metrics.Value { return metrics.Int(s.CheckpointFailures) }, nil},
+	{"syndog_checkpoint_age_seconds", "gauge", func(s Status) metrics.Value { return metrics.Float(s.CheckpointAge.Seconds()) },
 		func(s Status) bool { return s.Checkpoints > 0 }},
 }
 
 // histogramDef is one latency-histogram family, table-driven like
-// metricDefs: the family name, its HELP text, and how to pull its
-// snapshot off a Status. Families render after every scalar metric so
+// metricDefs: the family name, its HELP text, and which histogram of a
+// Status it renders. Families render after every scalar metric so
 // the scalar exposition stays byte-identical to the pre-histogram
 // contract.
 type histogramDef struct {
 	name, help string
-	snap       func(Status) LatencySnapshot
+	hist       func(Status) metrics.Histogram
 }
 
 var histogramDefs = []histogramDef{
 	{"syndog_period_processing_seconds",
 		"Wall time to close one observation period (detector fold, keyed tracker fold, summary emission).",
-		func(s Status) LatencySnapshot { return s.PeriodLatency }},
+		func(s Status) metrics.Histogram { return s.PeriodLatency }},
 	{"syndog_checkpoint_write_seconds",
 		"Wall time to persist one checkpoint snapshot (serialize, fsync, rename).",
-		func(s Status) LatencySnapshot { return s.CheckpointLatency }},
+		func(s Status) metrics.Histogram { return s.CheckpointLatency }},
 }
 
-// writeMetrics renders the single-agent exposition: the scalar table,
-// then the latency histogram families.
-func writeMetrics(w http.ResponseWriter, s Status) {
-	for _, m := range metricDefs {
-		if m.present != nil && !m.present(s) {
-			continue
-		}
-		fmt.Fprintf(w, "# TYPE %s %s\n%s %s\n", m.name, m.typ, m.name, m.value(s))
-	}
-	for _, h := range histogramDefs {
-		writeHistogram(w, h.name, h.help, "", h.snap(s))
-	}
-}
-
-// agentStatus pairs an agent's name with its status for the labeled
-// multi-agent exposition.
+// agentStatus is one agent's status and the label set its samples
+// carry: empty for a single agent, {agent="name"} beside others.
 type agentStatus struct {
-	Name   string
+	Labels metrics.Labels
 	Status Status
 }
 
-// writeMetricsLabeled renders the multi-agent exposition: the same
-// metric table, one TYPE header per metric and one {agent="..."}
-// labeled sample per agent. A metric absent for every agent (e.g.
-// checkpoint age before any checkpoint) omits its header too, matching
-// the single-agent behavior.
-func writeMetricsLabeled(w http.ResponseWriter, agents []agentStatus) {
+// writeMetrics renders the exposition: each scalar family's TYPE
+// header once, then one sample per agent, then the latency histogram
+// families the same way. A metric absent for every agent (e.g.
+// checkpoint age before any checkpoint) omits its header too.
+func writeMetrics(w io.Writer, agents []agentStatus) {
 	for _, m := range metricDefs {
 		wrote := false
 		for _, a := range agents {
@@ -466,16 +446,16 @@ func writeMetricsLabeled(w http.ResponseWriter, agents []agentStatus) {
 				continue
 			}
 			if !wrote {
-				fmt.Fprintf(w, "# TYPE %s %s\n", m.name, m.typ)
+				metrics.Header(w, m.name, m.typ, "")
 				wrote = true
 			}
-			fmt.Fprintf(w, "%s{agent=%q} %s\n", m.name, a.Name, m.value(a.Status))
+			metrics.Sample(w, m.name, a.Labels, m.value(a.Status))
 		}
 	}
 	for _, h := range histogramDefs {
-		writeHistogramHeader(w, h.name, h.help)
+		metrics.Header(w, h.name, "histogram", h.help)
 		for _, a := range agents {
-			writeHistogramSamples(w, h.name, fmt.Sprintf("agent=%q", a.Name), h.snap(a.Status))
+			h.hist(a.Status).WriteSamples(w, h.name, a.Labels)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -12,7 +13,9 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/ingest"
 	"repro/internal/sourcetrack"
+	"repro/internal/trace"
 )
 
 // keyedTrackConfig keys the flood-bearing test trace at /8: the
@@ -422,5 +425,125 @@ func TestSourcesHugePage(t *testing.T) {
 	}
 	if p := d.Sources(math.MaxInt, math.MaxInt); len(p.Sources) != 0 || p.Total != all.Total {
 		t.Fatalf("huge page past the end: %d rows, total %d", len(p.Sources), p.Total)
+	}
+}
+
+// gatedSource hands out pre-cut record batches, one per NextBatch,
+// blocking until the test releases the next one.
+type gatedSource struct{ batches chan []trace.Record }
+
+func (g *gatedSource) Next() (trace.Record, error) { return trace.Record{}, errors.New("batch only") }
+func (g *gatedSource) Close() error                { return nil }
+func (g *gatedSource) NextBatch(buf []trace.Record) (int, error) {
+	b, ok := <-g.batches
+	if !ok {
+		return 0, io.EOF
+	}
+	return copy(buf, b), nil
+}
+
+// TestCheckpointWaitsForPeriodBoundary: a periodic checkpoint taken
+// while a period is half-fed waits for that period to close and writes
+// the state of that very boundary, even though the replay goes straight
+// on into the next period. The keyed tracker counts records as they
+// arrive, so a mid-period snapshot would count the open period's
+// records twice on resume; the boundary snapshot resumes to the
+// uninterrupted run's exact state.
+func TestCheckpointWaitsForPeriodBoundary(t *testing.T) {
+	tr := testTrace(t, true)
+	t0 := core.DefaultObservationPeriod
+	dir := t.TempDir()
+	ckpt := filepath.Join(dir, "ckpt.json")
+
+	agent, tracker, _, err := LoadOrNewState(ckpt, core.Config{}, keyedTrackConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := &gatedSource{batches: make(chan []trace.Record)}
+	d, err := NewStream(ingest.WrapAgent(agent), src, ingest.Info{Name: tr.Name, Span: tr.Span, Records: -1},
+		t0, Options{StatePath: ckpt, Tracker: tracker})
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayDone := make(chan error, 1)
+	go func() { replayDone <- d.Replay(context.Background(), 0) }()
+
+	send := func(recs []trace.Record) {
+		for len(recs) > 0 {
+			n := min(len(recs), ingest.DefaultChunk)
+			src.batches <- recs[:n]
+			recs = recs[n:]
+		}
+	}
+	// index returns the position of the first record at or past ts.
+	index := func(ts time.Duration) int {
+		i := 0
+		for tr.Records[i].Ts < ts {
+			i++
+		}
+		return i
+	}
+	// Feed period 0 and the first half of period 1, then hold the
+	// source.
+	half := index(t0 + t0/2)
+	send(tr.Records[:half])
+	for d.Status().RecordsProcessed < half {
+		time.Sleep(time.Millisecond)
+	}
+	ckptDone := make(chan error, 1)
+	go func() { ckptDone <- d.Checkpoint() }()
+	select {
+	case err := <-ckptDone:
+		t.Fatalf("checkpoint completed mid-period (err %v)", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	// Finish period 1 and feed the first half of period 2 in the same
+	// run of batches, then hold the source again: the replay closes
+	// period 1 and goes straight on into period 2, which stays
+	// half-fed. The checkpoint must land on the period-1 boundary
+	// while the rest of the trace is still to come.
+	send(tr.Records[half:index(2*t0+t0/2)])
+	select {
+	case err := <-ckptDone:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("checkpoint did not complete at the period-1 boundary")
+	}
+	send(tr.Records[index(2*t0+t0/2):])
+	close(src.batches)
+	if err := <-replayDone; err != nil {
+		t.Fatal(err)
+	}
+	wantPath := filepath.Join(dir, "want.json")
+	if err := d.SaveState(wantPath); err != nil {
+		t.Fatal(err)
+	}
+
+	// Resume from the checkpoint and finish the trace.
+	agent, tracker, resumed, err := LoadOrNewState(ckpt, core.Config{}, keyedTrackConfig())
+	if err != nil || !resumed {
+		t.Fatalf("resume: %v (resumed %v)", err, resumed)
+	}
+	d2, err := New(agent, tr, Options{Tracker: tracker})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := d2.ResumeOffset(); got != 2 {
+		t.Fatalf("checkpoint holds %d periods; want the 2 closed before the period-1 boundary, of %d",
+			got, d2.TotalPeriods())
+	}
+	if err := d2.Replay(context.Background(), 0); err != nil {
+		t.Fatal(err)
+	}
+	gotPath := filepath.Join(dir, "got.json")
+	if err := d2.SaveState(gotPath); err != nil {
+		t.Fatal(err)
+	}
+	got, _ := os.ReadFile(gotPath)
+	want, _ := os.ReadFile(wantPath)
+	if !bytes.Equal(got, want) {
+		t.Error("state resumed from the checkpoint differs from the uninterrupted run")
 	}
 }

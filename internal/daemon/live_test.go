@@ -3,6 +3,7 @@ package daemon
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"net/netip"
 	"os"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/capture"
 	"repro/internal/core"
 	"repro/internal/ingest"
+	"repro/internal/packet"
 	"repro/internal/sourcetrack"
 	"repro/internal/trace"
 )
@@ -172,7 +174,9 @@ func TestCaptureSourceMatchesIngestOpen(t *testing.T) {
 // path has no period denominator), syndog_records_processed_total (the
 // bounded replay stops at the last complete period boundary; a live
 // source reads to EOF — see TestLiveAgentMatchesFileAgent), and the
-// wall-clock histograms/ages.
+// wall-clock histogram buckets, sums and ages. The period-close
+// histogram's _count is not wall-clock: both replay modes time every
+// period they close.
 var equivMetrics = []string{
 	"syndog_periods_total",
 	"syndog_kbar",
@@ -191,6 +195,7 @@ var equivMetrics = []string{
 	"syndog_sources_evicted_total",
 	"syndog_checkpoints_total",
 	"syndog_checkpoint_failures_total",
+	"syndog_period_processing_seconds_count",
 }
 
 // pickMetrics returns the subset of body's lines whose metric name is
@@ -287,6 +292,174 @@ func TestLiveAgentMatchesFileAgent(t *testing.T) {
 		t.Errorf("capture parsed %d records, trace has %d", ls.Capture.Parsed, len(tr.Records))
 	case ls.Capture.RingDropped != 0:
 		t.Errorf("blocking pcap source dropped %d records", ls.Capture.RingDropped)
+	}
+}
+
+// metricValue returns the sample value of the unlabeled metric name in
+// an exposition body.
+func metricValue(t *testing.T, body, name string) string {
+	t.Helper()
+	for _, line := range strings.Split(body, "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			return v
+		}
+	}
+	t.Fatalf("metric %s missing from exposition", name)
+	return ""
+}
+
+// TestLiveResumeTimesEveryClose: a live agent resumed from a snapshot
+// times exactly the periods it closes itself — the period-close
+// histogram counts periods_total minus the resume offset — and lands
+// on the reports of an uninterrupted run.
+func TestLiveResumeTimesEveryClose(t *testing.T) {
+	tr := testTrace(t, true)
+	path := writeTestPcap(t, tr)
+	prefix := netip.MustParsePrefix("130.216.0.0/16")
+	t0 := core.DefaultObservationPeriod
+
+	// A pcap carries no span: the stream ends after the last record, so
+	// the live replay closes only the periods complete before it.
+	periods := int((tr.Records[len(tr.Records)-1].Ts + 1) / t0)
+	ref, err := core.NewAgent(core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayTrace(t, ref, truncated(tr, time.Duration(periods)*t0))
+
+	const k = 9
+	a1, err := core.NewAgent(core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayTrace(t, a1, truncated(tr, k*t0))
+	a2, err := core.RestoreAgent(a1.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr, err := capture.NewPcapReader(f, f)
+	if err != nil {
+		f.Close()
+		t.Fatal(err)
+	}
+	src, err := capture.NewSource(fr, capture.Config{StubPrefix: prefix, Name: "live"})
+	if err != nil {
+		fr.Close()
+		t.Fatal(err)
+	}
+	d, err := NewLive(ingest.WrapAgent(a2), src, "live", t0, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if err := d.Replay(context.Background(), 0); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(d.Reports(), ref.Reports()) {
+		t.Error("resumed live replay diverged from uninterrupted run")
+	}
+
+	_, body := get(t, d, "/metrics")
+	got := fmt.Sprintf("periods_total %s, resume_offset %s, period-close count %s",
+		metricValue(t, body, "syndog_periods_total"),
+		metricValue(t, body, "syndog_resume_offset_periods"),
+		metricValue(t, body, "syndog_period_processing_seconds_count"))
+	if want := fmt.Sprintf("periods_total %d, resume_offset %d, period-close count %d", periods, k, periods-k); got != want {
+		t.Errorf("%s; want %s", got, want)
+	}
+}
+
+// TestLiveCheckpointWhileRecordsFlow: on a live agent whose records
+// keep flowing, a checkpoint requested mid-period completes at the very
+// next period boundary. Every batch runs across a boundary, so the
+// replay goes straight from one period's close into feeding the next
+// and is never idle between periods; the checkpoint writes the state
+// captured at the close itself.
+func TestLiveCheckpointWhileRecordsFlow(t *testing.T) {
+	t0 := core.DefaultObservationPeriod
+	const perPeriod, perBatch = 1000, 600
+	step := t0 / perPeriod
+	ckpt := filepath.Join(t.TempDir(), "ckpt.json")
+	agent, err := core.NewAgent(core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := &gatedSource{batches: make(chan []trace.Record)}
+	d, err := NewLive(ingest.WrapAgent(agent), src, "flow", t0, Options{StatePath: ckpt, Log: io.Discard})
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayDone := make(chan error, 1)
+	go func() { replayDone <- d.Replay(context.Background(), 0) }()
+
+	sent := 0
+	sendBatch := func() {
+		b := make([]trace.Record, perBatch)
+		for i := range b {
+			b[i] = trace.Record{Ts: time.Duration(sent+i) * step, Kind: packet.KindSYN, Dir: trace.DirOut}
+		}
+		src.batches <- b
+		sent += perBatch
+	}
+	// Five batches end exactly at the period-3 boundary: periods 0 and
+	// 1 are closed, period 2 is half-fed until a later record arrives.
+	for range 5 {
+		sendBatch()
+	}
+	for d.Status().RecordsProcessed < sent {
+		time.Sleep(time.Millisecond)
+	}
+	if got := d.Status().Periods; got != 2 {
+		t.Fatalf("%d periods closed before the checkpoint; want 2", got)
+	}
+	ckptDone := make(chan error, 1)
+	go func() { ckptDone <- d.Checkpoint() }()
+	select {
+	case err := <-ckptDone:
+		t.Fatalf("checkpoint completed mid-period (err %v)", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+
+	// Keep records flowing until the checkpoint completes.
+	stop := make(chan struct{})
+	fed := make(chan struct{})
+	go func() {
+		defer close(fed)
+		defer close(src.batches)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				sendBatch()
+			}
+		}
+	}()
+	select {
+	case err := <-ckptDone:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("checkpoint starved while records keep flowing")
+	}
+	close(stop)
+	<-fed
+	if err := <-replayDone; err != nil {
+		t.Fatal(err)
+	}
+
+	restored, _, resumed, err := LoadOrNewState(ckpt, core.Config{}, nil)
+	if err != nil || !resumed {
+		t.Fatalf("load checkpoint: %v (resumed %v)", err, resumed)
+	}
+	if n := len(restored.Reports()); n != 3 {
+		t.Errorf("checkpoint holds %d periods; want the 3 closed at the first boundary after the request", n)
 	}
 }
 

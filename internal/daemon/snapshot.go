@@ -230,6 +230,25 @@ func (d *Daemon) SaveState(path string) error {
 func (d *Daemon) State() (State, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	return d.stateLocked()
+}
+
+// atBoundaryLocked marks the open period closed, or the replay ended,
+// and serves a checkpoint waiting for that boundary: it captures the
+// state before the replay can feed the next period. d.mu must be held.
+func (d *Daemon) atBoundaryLocked() {
+	d.midPeriod = false
+	if !d.ckptWant {
+		return
+	}
+	d.ckptState, d.ckptErr = d.stateLocked()
+	d.ckptWant = false
+	d.ckptSeq++
+	d.boundary.Broadcast()
+}
+
+// stateLocked is State with d.mu held.
+func (d *Daemon) stateLocked() (State, error) {
 	if d.agent == nil {
 		return State{}, fmt.Errorf("daemon: detector %q has no snapshot state", d.det.Name())
 	}
@@ -247,16 +266,35 @@ func (d *Daemon) State() (State, error) {
 // /status's lastCheckpointError — a dying disk is visible long before
 // the final shutdown snapshot is lost. A later success clears the
 // error but not the failure count. It is a no-op when no state path
-// is configured.
+// is configured. Called while a period is half-fed, it waits for the
+// replay to close that period and writes the state captured at the
+// close, so every checkpoint is a period-boundary snapshot.
 func (d *Daemon) Checkpoint() error {
 	if d.opts.StatePath == "" {
 		return nil
 	}
+	d.mu.Lock()
+	var (
+		st  State
+		err error
+	)
+	if d.midPeriod {
+		d.ckptWant = true
+		for seq := d.ckptSeq; d.ckptSeq == seq; {
+			d.boundary.Wait()
+		}
+		st, err = d.ckptState, d.ckptErr
+	} else {
+		st, err = d.stateLocked()
+	}
+	d.mu.Unlock()
 	writeStart := time.Now()
-	err := d.SaveState(d.opts.StatePath)
+	if err == nil {
+		err = WriteStateFile(st, d.opts.StatePath)
+	}
 	elapsed := time.Since(writeStart).Seconds()
 	d.mu.Lock()
-	d.checkpointLatency.observe(elapsed)
+	d.checkpointLatency.Observe(elapsed)
 	if err != nil {
 		d.checkpointFailures++
 		d.lastCheckpointErr = err

@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ingest"
+	"repro/internal/metrics"
 	"repro/internal/sourcetrack"
 	"repro/internal/summary"
 )
@@ -277,7 +278,7 @@ func (s *Supervisor) Run(ctx context.Context, listen string) error {
 		s.startAgent(ma)
 	}
 
-	srv := &http.Server{Handler: s.Handler()}
+	srv := NewHTTPServer("", s.Handler())
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 
@@ -343,6 +344,23 @@ func (s *Supervisor) Run(ctx context.Context, listen string) error {
 			}
 		}
 	}
+}
+
+// Slow-peer bounds on the HTTP plane: a client has readHeaderTimeout
+// to send its request headers, and an idle keep-alive connection closes
+// after idleTimeout, so stalled peers cannot pin connections forever.
+// There is no write timeout: /debug/pprof/profile and /debug/bundle
+// legitimately stream for longer.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// NewHTTPServer builds an HTTP server on addr around h with the
+// slow-peer bounds every long-lived binary's listener carries: the
+// supervisor's and the fusion coordinator's.
+func NewHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
 // banner prints the startup line. The single-agent form is unchanged
@@ -803,22 +821,23 @@ func (s *Supervisor) Handler() http.Handler {
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+		// One agent renders unlabeled — the single-agent dialect; beside
+		// others every sample carries {agent="name"}.
 		agents := s.refs()
-		if len(agents) == 1 {
-			writeMetrics(w, agents[0].d.Status())
-		} else {
-			sts := make([]agentStatus, len(agents))
-			for i, a := range agents {
-				sts[i] = agentStatus{Name: a.name, Status: a.d.Status()}
+		sts := make([]agentStatus, len(agents))
+		for i, a := range agents {
+			sts[i].Status = a.d.Status()
+			if len(agents) > 1 {
+				sts[i].Labels = metrics.Label("agent", a.name)
 			}
-			writeMetricsLabeled(w, sts)
 		}
+		writeMetrics(w, sts)
 		// Process-wide uplink delivery counters, only when an uplink is
 		// configured — the default exposition stays byte-identical.
 		if u := s.opts.Uplink; u != nil {
-			fmt.Fprintf(w, "# TYPE syndog_uplink_sent_total counter\nsyndog_uplink_sent_total %d\n", u.Sent())
-			fmt.Fprintf(w, "# TYPE syndog_uplink_dropped_total counter\nsyndog_uplink_dropped_total %d\n", u.Dropped())
-			fmt.Fprintf(w, "# TYPE syndog_uplink_failures_total counter\nsyndog_uplink_failures_total %d\n", u.Failures())
+			metrics.Write(w, "syndog_uplink_sent_total", "counter", metrics.Int(u.Sent()))
+			metrics.Write(w, "syndog_uplink_dropped_total", "counter", metrics.Int(u.Dropped()))
+			metrics.Write(w, "syndog_uplink_failures_total", "counter", metrics.Int(u.Failures()))
 		}
 	})
 	mux.HandleFunc("GET /reloads", func(w http.ResponseWriter, _ *http.Request) {

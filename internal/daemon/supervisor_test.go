@@ -9,6 +9,7 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -18,6 +19,8 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/fusion"
+	"repro/internal/summary"
 	"repro/internal/trace"
 )
 
@@ -143,6 +146,70 @@ func decodeResults(t *testing.T, body string) map[string]ReloadResult {
 		out[r.Name] = r
 	}
 	return out
+}
+
+// TestSupervisorLifecycle drives a one-agent supervisor through the
+// full run: the banner's address, periodic checkpoints during a paced
+// replay, cancellation returning context.Canceled with a final
+// snapshot, and a resume from that snapshot that finishes with the
+// same /reports as an uninterrupted run.
+func TestSupervisorLifecycle(t *testing.T) {
+	dir := t.TempDir()
+	in := saveTestTrace(t, dir, true)
+	state := filepath.Join(dir, "state.json")
+	spec := AgentSpec{Name: "agent", Input: in, State: state, Checkpoint: Duration(10 * time.Millisecond)}
+
+	// Speed 400: one 20 s period per 50 ms; the full trace would take
+	// 1.5 s, and the run is cancelled after a few periods.
+	var log syncBuf
+	s, err := NewSupervisor([]AgentSpec{spec}, SupervisorOptions{ProcName: "syndogd", Log: &log, Speed: 400})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, shutdown := startSupervisor(t, s, &log)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if time.Now().After(deadline) {
+			t.Fatal("replay never progressed past 3 periods with a checkpoint")
+		}
+		var st Status
+		if _, body := httpGet(t, base+"/status"); json.Unmarshal([]byte(body), &st) != nil {
+			t.Fatalf("bad status: %s", body)
+		}
+		if st.ReplayDone {
+			t.Fatal("paced replay finished before it could be interrupted")
+		}
+		if st.Periods >= 3 && st.Checkpoints >= 1 {
+			break
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if err := shutdown(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run = %v, want context.Canceled", err)
+	}
+
+	// "Reboot": resume from the final snapshot and finish the replay.
+	d, action, err := BuildAgent(spec, "syndogd", io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if action != ActionResumed || d.ResumeOffset() == 0 {
+		t.Fatalf("action %s, resume offset %d after mid-replay shutdown", action, d.ResumeOffset())
+	}
+	if err := d.Replay(context.Background(), 0); err != nil {
+		t.Fatal(err)
+	}
+	ref, err := core.NewAgent(core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayTrace(t, ref, testTrace(t, true))
+	want, _ := json.Marshal(ref.Reports())
+	got, _ := json.Marshal(d.Reports())
+	if !bytes.Equal(got, want) {
+		t.Error("resumed run diverged from uninterrupted run")
+	}
 }
 
 // TestSupervisorTwoAgents pins the multi-agent HTTP plane: per-agent
@@ -657,6 +724,82 @@ func TestDebugBundle(t *testing.T) {
 	}
 	if len(cfg.Agents) != 2 || cfg.Agents[0].Name != "a" {
 		t.Fatalf("bundle config: %+v", cfg)
+	}
+}
+
+// TestSupervisorMetricsGolden pins the labeled multi-agent exposition
+// byte for byte, uplink delivery counters included: two agents (one
+// flooded and tracked, one clean) stream their summaries into an
+// in-process fusion coordinator, and the exposition is read once the
+// uplink has delivered every period, so the counters are deterministic.
+// Histogram bucket/sum values are masked as in TestMetricsGolden.
+// Regenerate with -update.
+func TestSupervisorMetricsGolden(t *testing.T) {
+	dir := t.TempDir()
+	flooded := saveTestTrace(t, dir, true)
+	clean := filepath.Join(dir, "clean.trace")
+	if err := trace.Save(clean, testTrace(t, false)); err != nil {
+		t.Fatal(err)
+	}
+	c, err := fusion.NewCoordinator(fusion.Config{Expect: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord := httptest.NewServer(c.Handler())
+	defer coord.Close()
+	up, err := summary.NewUplink(summary.UplinkConfig{URL: coord.URL, FlushInterval: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer up.Close()
+
+	specs := []AgentSpec{
+		{Name: "edge-a", Input: flooded, TrackSources: true, KeyBits: 8, MaxSources: 64},
+		{Name: "edge-b", Input: clean},
+	}
+	var log syncBuf
+	s, err := NewSupervisor(specs, SupervisorOptions{ProcName: "syndogd", Log: &log, Uplink: up})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, shutdown := startSupervisor(t, s, &log)
+	defer shutdown()
+	waitReplayDone(t, base, "edge-a")
+	waitReplayDone(t, base, "edge-b")
+	deadline := time.Now().Add(10 * time.Second)
+	for up.Sent() < 60 {
+		if time.Now().After(deadline) {
+			t.Fatalf("uplink delivered %d of 60 summaries", up.Sent())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	_, body := httpGet(t, base+"/metrics")
+	body = normalizeLatency(body)
+	golden := filepath.Join("testdata", "metrics_labeled_uplink.golden")
+	if *update {
+		if err := os.WriteFile(golden, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create)", err)
+	}
+	if body != string(want) {
+		t.Errorf("labeled exposition drifted from golden:\n--- got ---\n%s--- want ---\n%s", body, want)
+	}
+}
+
+// TestHTTPServerTimeouts pins the HTTP plane's slow-peer bounds, which
+// the supervisor and the fusion coordinator both serve behind: a peer
+// that never finishes its headers, or idles on a keep-alive
+// connection, is cut off instead of holding the connection forever.
+func TestHTTPServerTimeouts(t *testing.T) {
+	srv := NewHTTPServer("127.0.0.1:0", http.NotFoundHandler())
+	if srv.Addr != "127.0.0.1:0" || srv.ReadHeaderTimeout <= 0 || srv.IdleTimeout <= 0 {
+		t.Fatalf("addr %q, timeouts: read-header %v, idle %v; want both bounded",
+			srv.Addr, srv.ReadHeaderTimeout, srv.IdleTimeout)
 	}
 }
 

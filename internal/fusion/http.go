@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"strconv"
 
+	"repro/internal/metrics"
 	"repro/internal/summary"
 )
 
@@ -73,13 +74,6 @@ func (c *Coordinator) Handler() http.Handler {
 	return mux
 }
 
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
-
 // writeMetrics renders the coordinator exposition, mirroring the
 // daemon's metric style (syndog_fusion_ prefix, TYPE headers, one
 // sample per line).
@@ -91,13 +85,13 @@ func (c *Coordinator) writeMetrics(w io.Writer) {
 		duplicates += m.Duplicates
 		gaps += m.Gaps
 	}
-	fmt.Fprintf(w, "# TYPE syndog_fusion_monitors gauge\nsyndog_fusion_monitors %d\n", s.Monitors)
-	fmt.Fprintf(w, "# TYPE syndog_fusion_monitors_stale gauge\nsyndog_fusion_monitors_stale %d\n", s.StaleCount)
-	fmt.Fprintf(w, "# TYPE syndog_fusion_quorum gauge\nsyndog_fusion_quorum %d\n", s.Quorum)
-	fmt.Fprintf(w, "# TYPE syndog_fusion_periods_total counter\nsyndog_fusion_periods_total %d\n", s.FusedPeriods)
-	fmt.Fprintf(w, "# TYPE syndog_fusion_statistic gauge\nsyndog_fusion_statistic %g\n", s.Statistic)
-	fmt.Fprintf(w, "# TYPE syndog_fusion_alarmed gauge\nsyndog_fusion_alarmed %d\n", b2i(s.Alarmed))
-	fmt.Fprintf(w, "# TYPE syndog_fusion_summaries_received_total counter\nsyndog_fusion_summaries_received_total %d\n", received)
-	fmt.Fprintf(w, "# TYPE syndog_fusion_summaries_duplicate_total counter\nsyndog_fusion_summaries_duplicate_total %d\n", duplicates)
-	fmt.Fprintf(w, "# TYPE syndog_fusion_gap_periods_total counter\nsyndog_fusion_gap_periods_total %d\n", gaps)
+	metrics.Write(w, "syndog_fusion_monitors", "gauge", metrics.Int(s.Monitors))
+	metrics.Write(w, "syndog_fusion_monitors_stale", "gauge", metrics.Int(s.StaleCount))
+	metrics.Write(w, "syndog_fusion_quorum", "gauge", metrics.Int(s.Quorum))
+	metrics.Write(w, "syndog_fusion_periods_total", "counter", metrics.Int(s.FusedPeriods))
+	metrics.Write(w, "syndog_fusion_statistic", "gauge", metrics.Float(s.Statistic))
+	metrics.Write(w, "syndog_fusion_alarmed", "gauge", metrics.Bool(s.Alarmed))
+	metrics.Write(w, "syndog_fusion_summaries_received_total", "counter", metrics.Int(received))
+	metrics.Write(w, "syndog_fusion_summaries_duplicate_total", "counter", metrics.Int(duplicates))
+	metrics.Write(w, "syndog_fusion_gap_periods_total", "counter", metrics.Int(gaps))
 }

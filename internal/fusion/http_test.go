@@ -2,11 +2,14 @@ package fusion
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -14,6 +17,8 @@ import (
 
 	"repro/internal/summary"
 )
+
+var update = flag.Bool("update", false, "rewrite golden files")
 
 func TestHandlerEndpoints(t *testing.T) {
 	c, err := NewCoordinator(Config{Expect: 2})
@@ -84,12 +89,24 @@ func TestHandlerEndpoints(t *testing.T) {
 	if len(mons) != 2 {
 		t.Fatalf("monitors = %+v", mons)
 	}
+	// The exposition is pinned byte for byte: names, TYPE lines, order
+	// and values of the two-monitor scenario. Regenerate with -update.
 	metrics := get("/metrics")
-	for _, want := range []string{"syndog_fusion_monitors 2", "syndog_fusion_periods_total 1",
-		"syndog_fusion_summaries_received_total 2", "syndog_fusion_summaries_duplicate_total 1"} {
-		if !strings.Contains(metrics, want) {
-			t.Fatalf("metrics missing %q:\n%s", want, metrics)
+	golden := filepath.Join("testdata", "metrics.golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
 		}
+		if err := os.WriteFile(golden, []byte(metrics), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create)", err)
+	}
+	if metrics != string(want) {
+		t.Errorf("metrics exposition drifted from golden:\n--- got ---\n%s--- want ---\n%s", metrics, want)
 	}
 	if get("/healthz") != "ok\n" {
 		t.Fatal("healthz not ok")
